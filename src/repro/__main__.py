@@ -415,7 +415,6 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                 retry=retry,
                 journal=args.journal,
                 resume=args.resume,
-                pool=args.pool,
                 backend=args.backend,
                 kernel=args.kernel,
                 fabric=fabric,
@@ -882,13 +881,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="supervised retry budget per cell before quarantine "
         "(default: RetryPolicy's 2)",
-    )
-    p.add_argument(
-        "--pool",
-        choices=["supervised", "raw"],
-        default="supervised",
-        help="worker pool implementation; 'raw' is the legacy "
-        "ProcessPoolExecutor, kept for overhead benchmarking",
     )
     p.add_argument(
         "--inject-worker-kill",

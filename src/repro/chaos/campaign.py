@@ -3,11 +3,13 @@
 A :class:`CampaignSpec` declares axes — workloads (task + detector +
 algorithm), failure patterns (explicit or injector-derived), schedulers,
 detector seeds, and stabilization times — and :func:`run_campaign`
-executes their cross-product.  Each cell runs traced, its detector
-history is validated against the ``check_history`` oracle *before* the
-run, and the outcome is classified; a failing cell is recorded and the
-campaign continues, so one bad interleaving never hides the rest of the
-space.
+executes their cross-product.  Each cell's detector history is
+validated against the ``check_history`` oracle *before* the run, and
+the outcome is classified; a failing cell is recorded and the campaign
+continues, so one bad interleaving never hides the rest of the space.
+A campaign record is its verdict: cells run traced only when strict
+trace rules will read the trace, and records never carry the run
+itself (:func:`run_cell` is the single-cell API that does).
 
 Fan-out goes through the resilience layer
 (:mod:`repro.resilience.supervisor`): workers run under per-cell
@@ -23,8 +25,6 @@ campaign renders a report byte-identical to an uninterrupted serial one.
 from __future__ import annotations
 
 import itertools
-import os
-import signal
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -170,7 +170,11 @@ class CellRecord:
     deliberately absent from :meth:`format_row` so that a cell that was
     lost to a worker crash and re-run renders identically to one that
     succeeded first try (retried runs are deterministic re-executions).
-    ``result`` is ``None`` for journal-replayed and quarantined cells.
+    ``result`` is filled only by :func:`run_cell`, the single-cell
+    diagnostic API (shrink, bundle, replay).  Every campaign record is
+    its verdict alone — outcome, detail, steps, attempts, the same
+    fields the journal and the fabric wire carry — whichever route ran
+    the cell.
     """
 
     cell: CellSpec
@@ -256,7 +260,7 @@ class CampaignSpec:
         max_steps: per-cell liveness budget.
         pattern_seed: determinism seed for derived patterns.
         strict_traces: also classify trace hazards (lint trace rules).
-        workers: default process-pool width for :func:`run_campaign`
+        workers: default supervised-pool width for :func:`run_campaign`
             (1 = in-process serial execution).  Parallel runs produce
             reports byte-identical to serial ones: every cell carries
             its own seeds, so its run is independent of which worker
@@ -383,39 +387,33 @@ def _classify_record(
     *,
     strict_traces: bool,
 ) -> CellRecord:
-    """Map one finished run onto its :class:`CellRecord` (shared by
-    both kernels so records render identically)."""
+    """Map one finished run onto its verdict-only :class:`CellRecord`
+    (shared by both kernels so records render identically)."""
     outcome, detail = classify_result(
         result, task, strict_traces=strict_traces
     )
     if outcome == OUTCOME_BUDGET and result.budget_digest:
         detail = result.budget_digest
-    return CellRecord(
-        cell, outcome, detail=detail, steps=result.steps, result=result
-    )
+    return CellRecord(cell, outcome, detail=detail, steps=result.steps)
 
 
-def run_cell(
+def _run_cell_body(
     cell: CellSpec,
     *,
-    scheduler: Scheduler | None = None,
-    strict_traces: bool = False,
-    kernel: str = "interp",
-) -> CellRecord:
-    """Execute one cell: build, validate the history, run, classify.
-
-    ``scheduler`` overrides the cell's declared scheduler (the shrinker
-    uses this to substitute recording and explicit schedulers).
-    ``kernel="compiled"`` runs through the compiled kernel
-    (:func:`repro.kernel.execute_compiled`), which falls back
-    per-automaton to the interpreter and produces byte-identical
-    records.
-    """
+    scheduler: Scheduler | None,
+    strict_traces: bool,
+    kernel: str,
+    trace: bool,
+) -> tuple[CellRecord, RunResult | None]:
+    """The one cell body behind :func:`run_cell` and the campaign job
+    function :func:`_run_cell_guarded`: build, validate the history,
+    run, classify.  Returns the verdict-only record and the run's
+    result (``None`` when history validation stopped the cell)."""
     if kernel not in KERNELS:
         raise ResilienceError(f"unknown kernel: {kernel!r}")
     task, system, invalid = _prepare_cell(cell)
     if invalid is not None:
-        return invalid
+        return invalid, None
     if kernel == "compiled":
         from ..kernel import execute_compiled as _execute
 
@@ -427,39 +425,71 @@ def run_cell(
         scheduler if scheduler is not None
         else build_scheduler(cell.scheduler),
         max_steps=cell.max_steps,
-        trace=True,
+        trace=trace,
     )
-    return _classify_record(
+    record = _classify_record(
         cell, task, result, strict_traces=strict_traces
     )
+    return record, result
 
 
-def _run_cell_guarded(args: tuple) -> CellRecord:
-    """Module-level (picklable) cell runner shared by the serial and
-    pool paths; a raising cell degrades to an ``"error"`` record instead
-    of aborting the sweep.
+def run_cell(
+    cell: CellSpec,
+    *,
+    scheduler: Scheduler | None = None,
+    strict_traces: bool = False,
+    kernel: str = "interp",
+) -> CellRecord:
+    """Execute one cell: build, validate the history, run, classify.
 
-    ``args`` is ``(cell, strict_traces, *rest)``; ``rest`` may carry a
-    kernel name (``str``, e.g. ``"compiled"``) and/or the raw-pool
-    fault-drill flag (truthy non-str): the worker SIGKILLs itself
-    *before* running the cell, simulating an OOM killer / operator kill
-    mid-sweep (resubmissions clear the flag).
+    The single-cell diagnostic API (shrink, bundle, replay): the run is
+    always traced and its :class:`RunResult` is attached as
+    ``record.result``.  Campaigns run the same cell body but keep only
+    the verdict.
+
+    ``scheduler`` overrides the cell's declared scheduler (the shrinker
+    uses this to substitute recording and explicit schedulers).
+    ``kernel="compiled"`` runs through the compiled kernel
+    (:func:`repro.kernel.execute_compiled`), which falls back
+    per-automaton to the interpreter and produces byte-identical
+    records.
     """
-    cell, strict_traces, *rest = args
-    kernel = "interp"
-    for extra in rest:
-        if isinstance(extra, str):
-            kernel = extra
-        elif extra:
-            os.kill(os.getpid(), signal.SIGKILL)
+    record, result = _run_cell_body(
+        cell,
+        scheduler=scheduler,
+        strict_traces=strict_traces,
+        kernel=kernel,
+        trace=True,
+    )
+    record.result = result
+    return record
+
+
+def _run_cell_guarded(job: tuple[CellSpec, bool, str]) -> CellRecord:
+    """The campaign job function — module-level, so picklable — shared
+    by serial in-process runs, :class:`~repro.resilience.SupervisedPool`
+    workers, and fabric workers.  ``job`` is ``(cell, strict_traces,
+    kernel)``.
+
+    The cell runs traced only when ``strict_traces`` makes
+    classification read the trace, and the record it returns is the
+    verdict alone, so no run crosses a worker pipe.  A raising cell
+    degrades to an ``"error"`` record instead of aborting the sweep.
+    """
+    cell, strict_traces, kernel = job
     try:
-        return run_cell(
-            cell, strict_traces=strict_traces, kernel=kernel
+        record, _ = _run_cell_body(
+            cell,
+            scheduler=None,
+            strict_traces=strict_traces,
+            kernel=kernel,
+            trace=strict_traces,
         )
     except Exception as exc:  # noqa: BLE001 - triage, don't abort
-        return CellRecord(
+        record = CellRecord(
             cell, OUTCOME_ERROR, detail=f"{type(exc).__name__}: {exc}"
         )
+    return record
 
 
 def _record_from_job(cell: CellSpec, job: JobResult) -> CellRecord:
@@ -480,52 +510,6 @@ def _record_from_job(cell: CellSpec, job: JobResult) -> CellRecord:
             for i, failure in enumerate(job.failures)
         ) + f" — {job.detail}"
     return CellRecord(cell, job.kind, detail=detail, attempts=job.attempts)
-
-
-def _run_jobs_raw(
-    jobs: list[tuple[int, tuple]],
-    workers: int,
-    record_result: Callable[[int, CellRecord], None],
-    inject_worker_kill: int | None = None,
-) -> None:
-    """Legacy ``ProcessPoolExecutor`` fan-out, kept for the supervised-
-    overhead benchmark — now with ``BrokenProcessPool`` recovery: a dead
-    worker no longer discards completed cells; finished futures are
-    harvested and only the unfinished cells are resubmitted to a fresh
-    pool (with any self-kill drill flag cleared)."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    outstanding: dict[int, tuple] = dict(jobs)
-    inject = inject_worker_kill
-    while outstanding:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        futures: dict = {}
-        try:
-            for index, payload in sorted(outstanding.items()):
-                kill_self = index == inject
-                if kill_self:
-                    inject = None  # the drill kills exactly once
-                futures[
-                    pool.submit(_run_cell_guarded, (*payload, kill_self))
-                ] = index
-            for future in as_completed(futures):
-                index = futures[future]
-                record_result(index, future.result())
-                del outstanding[index]
-        except BrokenProcessPool:
-            # Harvest every future that did finish, resubmit the rest.
-            for future, index in futures.items():
-                if index not in outstanding or not future.done():
-                    continue
-                try:
-                    record = future.result()
-                except Exception:  # noqa: BLE001 - lost with the worker
-                    continue
-                record_result(index, record)
-                del outstanding[index]
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _run_jobs_fabric(
@@ -603,7 +587,6 @@ def run_campaign(
     retry: RetryPolicy | None = None,
     journal: str | None = None,
     resume: str | None = None,
-    pool: str = "supervised",
     backend: str = "auto",
     kernel: str = "interp",
     fabric: Any = None,
@@ -617,31 +600,37 @@ def run_campaign(
     budget, recorded with a quarantine outcome (``timeout`` / ``oom`` /
     ``worker_crash`` / ``flaky``) — the sweep always continues.
 
+    Every route returns verdict-only records (``record.result`` is
+    ``None``): the outcome, detail, steps, and attempts that the journal
+    and the fabric wire carry too.  Cells run traced only when
+    ``spec.strict_traces`` makes classification read the trace; use
+    :func:`run_cell` for a cell's full traced :class:`RunResult`.
+
     ``workers`` (default: ``spec.workers``) > 1 fans the cells out over
-    a :class:`~repro.resilience.SupervisedPool` (or the legacy raw
-    ``ProcessPoolExecutor`` with ``pool="raw"``, kept for overhead
-    benchmarking).  Cells are fully determined by their spec — every
-    source of randomness is an explicit per-cell seed — and records are
-    collected in cell order, so the resulting report (including
-    :meth:`CampaignReport.render`) is byte-identical to a serial run.
+    a :class:`~repro.resilience.SupervisedPool`.  Cells are fully
+    determined by their spec — every source of randomness is an
+    explicit per-cell seed — and records are collected in cell order,
+    so the resulting report (including :meth:`CampaignReport.render`)
+    is byte-identical to a serial run.
 
     ``budget`` arms per-cell wall-clock/RSS watchdogs inside the
-    workers; setting it (or ``inject_worker_kill``) with ``workers=1``
-    still routes through a one-worker supervised pool so the budget is
-    enforceable.  ``journal`` appends every completed cell to a JSONL
-    file the moment it finishes; ``resume`` replays such a journal,
-    re-executing only the missing cells (the journal is fingerprint-
-    pinned to the exact enumerated campaign).  SIGINT/SIGTERM during a
-    run raises :class:`~repro.errors.CampaignInterrupted` after workers
-    are stopped and the journal is flushed.
+    workers; setting it (or ``inject_worker_kill``, the fault drill
+    that SIGKILLs the worker running that cell index on its first
+    attempt) with ``workers=1`` still routes through a one-worker
+    supervised pool so the budget is enforceable.  ``journal`` appends
+    every completed cell to a JSONL file the moment it finishes;
+    ``resume`` replays such a journal, re-executing only the missing
+    cells (the journal is fingerprint-pinned to the exact enumerated
+    campaign).  SIGINT/SIGTERM during a run raises
+    :class:`~repro.errors.CampaignInterrupted` after workers are stopped
+    and the journal is flushed.
 
     ``backend`` selects the dispatch substrate:
 
     * ``"auto"`` (default) — serial in-process, unless ``workers`` > 1
       or a budget/fault-injection knob requires a pool.
     * ``"inproc"`` — force serial in-process execution.
-    * ``"pool"`` — force the local worker pool (supervised, or the
-      legacy raw one with ``pool="raw"``).
+    * ``"pool"`` — force the local supervised worker pool.
     * ``"fabric"`` — shard cells across socket-connected remote workers
       via a :class:`~repro.resilience.fabric.FabricCoordinator` with
       lease-based at-least-once dispatch and idempotent result dedup
@@ -671,8 +660,6 @@ def run_campaign(
     """
     if workers is None:
         workers = spec.workers
-    if pool not in ("supervised", "raw"):
-        raise ResilienceError(f"unknown pool kind: {pool!r}")
     if backend not in BACKENDS:
         raise ResilienceError(f"unknown backend: {backend!r}")
     if kernel not in KERNELS:
@@ -751,9 +738,8 @@ def run_campaign(
             )
         emit_ready()
 
-    payload_tail = () if kernel == "interp" else (kernel,)
     remaining = [
-        (index, (cells[index], spec.strict_traces, *payload_tail))
+        (index, (cells[index], spec.strict_traces, kernel))
         for index in range(len(cells))
         if index not in records
     ]
@@ -799,24 +785,19 @@ def run_campaign(
                 journal_writer=journal_writer,
                 recovered=recovered,
             )
-        elif use_pool and pool == "raw":
-            _run_jobs_raw(
-                remaining, max(1, workers), record_result,
-                inject_worker_kill,
-            )
         elif use_pool:
             run_supervised(remaining, inject_worker_kill)
         elif kernel == "compiled":
             from ..kernel.lanes import run_cells_compiled
 
             run_cells_compiled(
-                [(index, payload[0]) for index, payload in remaining],
+                [(index, job[0]) for index, job in remaining],
                 strict_traces=spec.strict_traces,
                 record_result=record_result,
             )
         else:
-            for index, payload in remaining:
-                record_result(index, _run_cell_guarded(payload))
+            for index, job in remaining:
+                record_result(index, _run_cell_guarded(job))
     except KeyboardInterrupt:
         raise CampaignInterrupted(
             f"campaign '{spec.name}' interrupted: "

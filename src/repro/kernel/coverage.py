@@ -140,15 +140,23 @@ def check_manifest(
     rows: list[CoverageRow], root: str | Path | None = None
 ) -> list[str]:
     """Compare ``rows`` against the committed manifest; return problem
-    strings for every automaton whose coverage *regressed* (compiled or
-    inlined before, worse now, or vanished entirely).  New automata and
+    strings for a manifest written by another compiler version and for
+    every automaton whose coverage *regressed* (compiled or inlined
+    before, worse now, or vanished entirely).  New automata and
     upgrades pass; refresh the manifest with ``--coverage --write``."""
     path = _manifest_path(root)
     if not path.exists():
         return [f"coverage manifest missing: {path}"]
-    recorded = json.loads(path.read_text(encoding="utf-8"))["automata"]
-    current = {row.name: row.status for row in rows}
+    manifest = json.loads(path.read_text(encoding="utf-8"))
     problems: list[str] = []
+    if manifest.get("compiler") != COMPILER_TAG:
+        problems.append(
+            f"{MANIFEST} records compiler {manifest.get('compiler')!r}, "
+            f"not the current {COMPILER_TAG!r} (regenerate it with "
+            f"--coverage --write)"
+        )
+    recorded = manifest["automata"]
+    current = {row.name: row.status for row in rows}
     for name, status in sorted(recorded.items()):
         now = current.get(name)
         if now is None:

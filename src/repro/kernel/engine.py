@@ -71,24 +71,17 @@ class LaneState:
       later snapshots go through the lane-local cache; the shared cache
       itself is never invalidated, because one lane's writes are
       invisible to its siblings.
-    * ``finals`` — interning table for final register files.  Lanes of
-      one shape frequently converge to byte-identical final memory;
-      :meth:`CompiledRun.result` builds the :class:`RegisterFile` once
-      per distinct content and hands out O(1) copy-on-write copies
-      (:meth:`RegisterFile.copy`) instead of re-materializing it per
-      lane.  Unhashable register values simply skip the interning.
 
     Correctness is enforced end-to-end by the campaign differential
     (:func:`repro.kernel.differential.campaign_differential`): reports
-    rendered from interned memory must stay byte-identical to the
+    rendered from shared-snapshot lanes must stay byte-identical to the
     serial interpreted run.
     """
 
-    __slots__ = ("snap0", "finals")
+    __slots__ = ("snap0",)
 
     def __init__(self) -> None:
         self.snap0: dict[str, dict[str, Any]] = {}
-        self.finals: dict[tuple, RegisterFile] = {}
 
 
 class CompiledRun:
@@ -699,38 +692,14 @@ class CompiledRun:
             f"S-process steps: {s_steps}"
         )
 
-    def _final_memory(self) -> RegisterFile:
-        """Materialize the final register file, interning through the
-        lane group when one is attached: sibling lanes that converge to
-        identical final memory share one master ``RegisterFile`` and
-        receive O(1) copy-on-write copies instead of rebuilding the
-        register file cell by cell per lane."""
-        state = self._lane_state
-        if state is not None:
-            key: tuple | None = tuple(self._cells.items())
-            try:
-                master = state.finals.get(key)
-            except TypeError:  # unhashable register value: skip intern
-                key = None
-                master = None
-            if key is not None:
-                if master is None:
-                    master = RegisterFile()
-                    for name, value in self._cells.items():
-                        master.write(name, value)
-                    state.finals[key] = master
-                return master.copy()
-        memory = RegisterFile()
-        for name, value in self._cells.items():
-            memory.write(name, value)
-        return memory
-
     def result(self) -> RunResult:
         """Package the finished run as a RunResult (identical to the
         interpreter's for the same system and scheduler)."""
         if self._reason is None:
             raise ProtocolError("result() called before the run finished")
-        memory = self._final_memory()
+        memory = RegisterFile()
+        for name, value in self._cells.items():
+            memory.write(name, value)
         extras: dict[str, Any] = {}
         if self._reason == "budget":
             extras["budget_digest"] = self._budget_digest()

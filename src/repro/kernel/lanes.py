@@ -18,9 +18,7 @@ interleaving cannot change any verdict — it exists so that
   many-seed sweep case) share copy-on-write register state through a
   :class:`~repro.kernel.engine.LaneState`: epoch-0 snapshots are served
   from a group-shared cache until a lane's first write bumps its
-  private epoch, and byte-identical final register files are interned
-  once per group and handed out as O(1) COW copies instead of being
-  re-materialized per cell.
+  private epoch.
 
 Records are delivered through the same ``record_result(index, record)``
 callback the pool backends use, so reports stay byte-identical to a

@@ -264,7 +264,7 @@ def _execute_cell(
     from ..chaos.campaign import CellSpec, _run_cell_guarded
 
     record = _run_cell_guarded(
-        (CellSpec.from_json(cell_json), strict_traces)
+        (CellSpec.from_json(cell_json), strict_traces, "interp")
     )
     return {
         "type": "result",

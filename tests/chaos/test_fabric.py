@@ -8,6 +8,7 @@ and timing-controlled.  End-to-end byte-identity runs real
 :func:`~repro.resilience.worker.run_worker` loops in threads.
 """
 
+import pickle
 import threading
 import time
 
@@ -36,6 +37,10 @@ FAST_FABRIC = FabricConfig(
     degrade_after_s=0.5,
     max_redispatch=1,
 )
+
+#: Pickled-size ceiling of a verdict-only campaign record (a record
+#: carrying its traced run is hundreds of KB).
+LEAN_RECORD_BYTES = 2048
 
 
 def _stub_execute(cell_json, strict_traces):
@@ -237,6 +242,9 @@ class TestFabricBackend:
         assert fabric.fabric is not None
         assert not fabric.fabric.degraded
         assert fabric.fabric.results == 4
+        for record in fabric.records:
+            assert record.result is None
+            assert len(pickle.dumps(record)) < LEAN_RECORD_BYTES
 
     def test_no_workers_degrades_to_local_pool(self):
         spec = smoke_campaign()

@@ -114,20 +114,6 @@ class TestRetryAndQuarantine:
         assert drilled.records[1].attempts == 2
         assert all(r.attempts == 1 for r in serial.records)
 
-    def test_raw_pool_survives_worker_sigkill(self):
-        # Regression: BrokenProcessPool used to abandon every completed
-        # cell; the raw path must now harvest them and resubmit the rest.
-        spec = smoke_campaign()
-        serial = run_campaign(spec, limit=6)
-        drilled = run_campaign(
-            spec, limit=6, workers=2, pool="raw", inject_worker_kill=2
-        )
-        assert drilled.render() == serial.render()
-
-    def test_unknown_pool_kind_is_refused(self):
-        with pytest.raises(ResilienceError, match="pool"):
-            run_campaign(smoke_campaign(), limit=1, pool="threads")
-
 
 class TestJournalResume:
     def test_interrupted_campaign_resumes_byte_identically(self, tmp_path):
@@ -173,15 +159,29 @@ class TestJournalResume:
         resumed = run_campaign(spec, limit=4, resume=journal)
         assert resumed.render() == run_campaign(spec, limit=4).render()
 
-    def test_resumed_cells_are_not_reexecuted(self, tmp_path):
+    def test_resumed_cells_are_not_reexecuted(self, tmp_path, monkeypatch):
+        from repro.chaos import campaign
+
         spec = smoke_campaign()
         journal = str(tmp_path / "campaign.jsonl")
         run_campaign(spec, limit=4, journal=journal)
         _, before = load_journal(journal)
+        runs = []
+        body = campaign._run_cell_body
+
+        def counting_body(cell, **kwargs):
+            runs.append(cell)
+            return body(cell, **kwargs)
+
+        monkeypatch.setattr(campaign, "_run_cell_body", counting_body)
         resumed = run_campaign(spec, limit=4, resume=journal)
         _, after = load_journal(journal)
         assert after == before  # nothing re-run, nothing re-journaled
-        assert all(r.result is None for r in resumed.records)
+        assert runs == []
+        # The counter is live: a fresh run of the same cells hits it.
+        fresh = run_campaign(spec, limit=4)
+        assert len(runs) == 4
+        assert resumed.render() == fresh.render()
 
 
 class TestIdempotentAppend:

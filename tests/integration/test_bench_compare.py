@@ -76,10 +76,10 @@ class TestKernelSpeedupGate:
         assert kernel_speedup_problems(results) == []
 
     def test_campaign_pair_gates_at_its_own_threshold(self):
-        # 2x clears the executor gate's 5x easily-confused sibling but
-        # must still trip the campaign pair's dedicated 2.5x minimum.
+        # 1.8x clears the smoke-mix pair's 1.5x minimum but must still
+        # trip the seed-sweep pair's dedicated 2.0x minimum.
         results = {
-            "campaign_compiled_seed_sweep": {"cells_per_s": 20.0},
+            "campaign_compiled_seed_sweep": {"cells_per_s": 18.0},
             "campaign_seed_sweep": {"cells_per_s": 10.0},
         }
         problems = kernel_speedup_problems(results)

@@ -1,7 +1,7 @@
 """Lane edge cases and the shared copy-on-write lane state: chunk vs
 cell-count interactions, seed sweeps sharing one shape group, epoch-0
-snapshot sharing, final register-file interning, and mixed
-compiled/fallback lanes over one COW prefix."""
+snapshot sharing, and mixed compiled/fallback lanes over one COW
+prefix."""
 
 import dataclasses
 import itertools
@@ -16,7 +16,7 @@ from repro.kernel import (
     UnsupportedAutomaton,
 )
 from repro.kernel.lanes import CHUNK, lane_shape_key, run_cells_compiled
-from repro.runtime import RoundRobinScheduler, ops
+from repro.runtime import ops
 from repro.runtime.scheduler import ExplicitScheduler
 
 
@@ -133,26 +133,6 @@ def writer(ctx):
     for i in range(10):
         yield ops.Write(f"w/{me}/{i}", i)
     yield ops.Decide(me)
-
-
-def test_lane_state_interns_final_register_files():
-    state = LaneState()
-
-    def build():
-        return System(inputs=(0, 1), c_factories=[writer] * 2)
-
-    first = CompiledRun(
-        build(), RoundRobinScheduler(), lane_state=state
-    ).run()
-    second = CompiledRun(
-        build(), RoundRobinScheduler(), lane_state=state
-    ).run()
-    solo = CompiledRun(build(), RoundRobinScheduler()).run()
-    assert first.memory.snapshot("") == solo.memory.snapshot("")
-    assert second.memory.snapshot("") == solo.memory.snapshot("")
-    # One master register file, shared copy-on-write by both results.
-    assert len(state.finals) == 1
-    assert first.memory._cells is second.memory._cells
 
 
 def test_epoch0_snapshots_shared_until_first_write():
