@@ -34,6 +34,7 @@ from . import (
     splitters,
     wsb_concurrent,
 )
+from ._schema import ModuleSchema, RegisterSchema
 
 __all__ = [
     "bg_simulation",
@@ -54,9 +55,6 @@ __all__ = [
     "splitters",
     "wsb_concurrent",
 ]
-
-
-from ..lint.schema import ModuleSchema, RegisterSchema
 
 #: Lint declarations for every algorithm module: which functions are
 #: C-/S-automata or kind-neutral subroutines, which register families

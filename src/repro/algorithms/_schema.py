@@ -4,12 +4,19 @@ The static linter cannot guess which generator functions are C-process
 automata, which are S-process automata, and which register families a
 module owns — so every module in :mod:`repro.algorithms` declares a
 :class:`ModuleSchema` (the registry lives in
-``repro/algorithms/__init__.py`` as ``LINT_SCHEMAS``).  The linter then
-*verifies* the declared code against the EFD step model; a function the
-schema does not name is not an automaton and is skipped.
+``repro/algorithms/__init__.py`` as ``LINT_SCHEMAS``).  The linter
+(:mod:`repro.lint`) then *verifies* the declared code against the EFD
+step model; a function the schema does not name is not an automaton and
+is skipped.
 
 Names may be dotted to reach nested definitions: ``"Outer.inner"``
 addresses the ``inner`` function (or method) defined inside ``Outer``.
+
+The declarations live beside the algorithms, not in :mod:`repro.lint`,
+and this module imports nothing from the analyzer: importing the
+algorithms to *run* them (every campaign cell does) must not load the
+linter.  The leading underscore keeps the module out of the schema
+completeness gate, which expects a schema for every algorithm module.
 """
 
 from __future__ import annotations

@@ -60,28 +60,28 @@ KERNEL_PAIRS = {
 }
 
 #: Minimum same-run speedup of each ``executor_compiled_*`` benchmark
-#: over its interpreted counterpart.  Full runs measure 13-40x; the
-#: gate sits well below that so smoke runs on noisy CI hosts do not
-#: flap, while still catching a kernel that silently degrades to
-#: interpreter-like throughput.
+#: over its interpreted counterpart.  Repeated runs measure medians of
+#: 6.3-8.8x (full and smoke); the gate sits below that so smoke runs on
+#: noisy CI hosts do not flap, while still catching a kernel that
+#: silently degrades to interpreter-like throughput.
 EXECUTOR_KERNEL_SPEEDUP_MIN = 5.0
 
 #: Per-pair minimum same-run speedups for :func:`kernel_speedup_problems`.
 #: The synthetic executor workloads are pure kernel overhead and gate
 #: high.  The paxos-inlined workload does real agreement work per step
-#: (measured ~4-5x), and the campaign pairs carry the full shared cost
+#: (median ~3.2x), and the campaign pairs carry the full shared cost
 #: of schedulers, detectors, and verdicts that both kernels pay
-#: identically.  Since interpreted campaign cells stopped tracing too,
-#: the pairs measure ~1.8x on the smoke mix and ~2.3-2.7x on the seed
-#: sweep; each gates with margin below its measured floor.
+#: identically: over repeated runs their medians are ~1.45x (full) /
+#: ~1.8x (smoke) on the smoke mix and ~1.8x on the seed sweep, and each
+#: gates at about 0.8x its lower median.
 KERNEL_SPEEDUP_MIN = {
     "executor_compiled_rw_n8": EXECUTOR_KERNEL_SPEEDUP_MIN,
     "executor_compiled_nop_n32": EXECUTOR_KERNEL_SPEEDUP_MIN,
     "executor_compiled_crashes": EXECUTOR_KERNEL_SPEEDUP_MIN,
     "executor_compiled_snapshot": EXECUTOR_KERNEL_SPEEDUP_MIN,
     "executor_compiled_paxos_inlined": 3.0,
-    "campaign_compiled": 1.5,
-    "campaign_compiled_seed_sweep": 2.0,
+    "campaign_compiled": 1.2,
+    "campaign_compiled_seed_sweep": 1.4,
 }
 
 #: Maximum tolerated supervised-pool slowdown vs serial in-process

@@ -217,13 +217,7 @@ def _narrowed(view: SchedulerView, keep) -> SchedulerView:
     candidates = tuple(pid for pid in view.candidates if keep(pid))
     if not candidates:  # never starve the whole system
         candidates = view.candidates
-    return SchedulerView(
-        time=view.time,
-        candidates=candidates,
-        started=view.started,
-        decided=view.decided,
-        participants=view.participants,
-    )
+    return view._replace(candidates=candidates)
 
 
 class BurstStarvationScheduler(Scheduler):

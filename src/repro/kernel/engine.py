@@ -633,11 +633,11 @@ class CompiledRun:
             if len(cands) != len(live):
                 cands = tuple(entry[0] for entry in live)
             view = SchedulerView(
-                time=time,
-                candidates=cands,
-                started=self._started_frozen,
-                decided=self._decided_frozen,
-                participants=participants,
+                time,
+                cands,
+                self._started_frozen,
+                self._decided_frozen,
+                participants,
             )
             try:
                 pid = scheduler.next(view)

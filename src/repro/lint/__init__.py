@@ -28,6 +28,7 @@ programmatically, and the ``strict=`` flag of
 and the third-party pass contract.
 """
 
+from ..algorithms._schema import ModuleSchema, RegisterSchema
 from .baseline import apply_baseline, load_baseline, write_baseline
 from .findings import Finding, LintReport
 from .formats import render_json, render_report, render_sarif
@@ -52,7 +53,6 @@ from .runner import (
     lint_algorithms,
     lint_module,
 )
-from .schema import ModuleSchema, RegisterSchema
 from .static_rules import (
     ALL_RULES,
     BoundedLoops,

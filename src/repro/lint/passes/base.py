@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, ClassVar
 
+from ...algorithms._schema import ModuleSchema
 from ..findings import Finding
 from ..ir.cfg import CFG
 from ..ir.footprint import StaticFootprint
 from ..protocol import AutomatonView
-from ..schema import ModuleSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..battery import BatteryRun

@@ -22,11 +22,11 @@ from __future__ import annotations
 import ast
 from typing import Any
 
+from ...algorithms._schema import ModuleSchema
 from ...runtime import ops
 from ..ir.cfg import CFG, CFGNode, YieldStep
 from ..ir.dataflow import nontrivial_sccs, reachable
 from ..protocol import resolve_expression
-from ..schema import ModuleSchema
 from .base import AutomatonIR, LintPass, PassContext, PassResult
 from .registry import register_pass
 

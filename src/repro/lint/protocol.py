@@ -2,7 +2,7 @@
 
 This module turns an algorithm module into checkable
 :class:`AutomatonView` objects: for every function a
-:class:`~repro.lint.schema.ModuleSchema` declares, it locates the
+:class:`~repro.algorithms._schema.ModuleSchema` declares, it locates the
 generator that constitutes the automaton (the named function itself if
 it is a generator, else its unique inner generator — the standard
 ``def factory(ctx):`` idiom), and statically classifies every ``yield``

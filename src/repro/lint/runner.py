@@ -1,7 +1,7 @@
 """Lint orchestration: compile IR, resolve passes, run them in order.
 
 The runner walks :data:`repro.algorithms.__all__`, pairs each module
-with its declared :class:`~repro.lint.schema.ModuleSchema` from
+with its declared :class:`~repro.algorithms._schema.ModuleSchema` from
 :data:`repro.algorithms.LINT_SCHEMAS`, compiles every declared
 automaton into CFG IR with a static register footprint
 (:mod:`repro.lint.ir`), and hands the resulting
@@ -25,6 +25,7 @@ import importlib
 from pathlib import Path
 from types import ModuleType
 
+from ..algorithms._schema import ModuleSchema
 from .findings import Finding, LintReport
 from .ir import build_cfg, infer_footprint
 from .passes import (
@@ -34,7 +35,6 @@ from .passes import (
     resolve_passes,
 )
 from .protocol import extract_automata
-from .schema import ModuleSchema
 from .static_rules import ALL_RULES
 
 #: Rule ids of the original five AST protocol rules, in order.

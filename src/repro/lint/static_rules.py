@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import ast
 
+from ..algorithms._schema import ModuleSchema
 from ..runtime import ops
 from .findings import Finding
 from .protocol import AutomatonView, YieldView
-from .schema import ModuleSchema
 
 #: Yielded ops that observe shared state or detector advice — the
 #: things that can make a spin loop terminate in someone else's steps.
@@ -239,7 +239,7 @@ class BoundedLoops(Rule):
 class RegisterNaming(Rule):
     """Every statically-resolvable register name must be declared.
 
-    The module's :class:`~repro.lint.schema.RegisterSchema` is the
+    The module's :class:`~repro.algorithms._schema.RegisterSchema` is the
     register namespace contract; yielding a name outside it means either
     the schema is stale or the algorithm is scribbling on another
     module's register family.

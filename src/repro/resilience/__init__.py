@@ -2,12 +2,14 @@
 
 The paper's construction keeps computation wait-free by pushing every
 crash-prone step onto supervised helpers; this package applies the same
-discipline to the harness's own long-running workloads.  Campaigns and
-deep explorations fan work out through a :class:`SupervisedPool` whose
-workers run under :class:`CellBudget` watchdogs, failed work is retried
-with deterministic backoff and quarantined with a triaged kind instead
-of aborting the sweep, and progress is journaled append-only so an
-interrupted run resumes exactly where it stopped.
+discipline to the harness's own long-running workloads.  Campaigns fan
+their cells out through a :class:`SupervisedPool` (or, across hosts,
+the fabric) whose workers run under :class:`CellBudget` watchdogs,
+failed work is retried with deterministic backoff and quarantined with
+a triaged kind instead of aborting the sweep, and progress is journaled
+append-only so an interrupted run resumes exactly where it stopped.
+Deep explorations do not use the pool: they checkpoint themselves and
+resume (:mod:`repro.checker.explorer`).
 
 * :mod:`~repro.resilience.supervisor` — the pool: per-worker pipes,
   crash detection and attribution, retry/backoff/jitter, quarantine.

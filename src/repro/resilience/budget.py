@@ -42,9 +42,10 @@ class CellBudget:
         rss_mb: resident-set budget for the worker process; ``None`` =
             unbounded.  Compared against *current* RSS where the
             platform exposes it, peak RSS otherwise.
-        poll_interval_s: watchdog polling period.  Enforcement latency
-            is one poll interval, so budgets are accurate to roughly
-            this grain — plenty for second-scale deadlines.
+        poll_interval_s: watchdog polling period.  A running job is
+            killed within one poll interval of a breach; a job that
+            finishes past its deadline between two polls is a timeout
+            all the same (see :meth:`BudgetWatchdog.disarm`).
     """
 
     deadline_s: float | None = None
@@ -120,10 +121,17 @@ class BudgetWatchdog:
                 else time.monotonic() + self.budget.deadline_s
             )
 
-    def disarm(self) -> None:
+    def disarm(self) -> bool:
+        """Stop enforcing; returns whether the job overran its
+        deadline.  The watchdog polls, so a job can finish past its
+        deadline before the next poll sees it: the caller treats that
+        as a timeout too, which makes the verdict independent of the
+        poll phase."""
         with self._lock:
+            deadline_at = self._deadline_at
             self._armed = False
             self._deadline_at = None
+        return deadline_at is not None and time.monotonic() >= deadline_at
 
     def _watch(self) -> None:  # pragma: no cover - exits via os._exit
         while True:

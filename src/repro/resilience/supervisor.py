@@ -14,6 +14,11 @@ Design points:
   queues: a SIGKILLed worker cannot die holding a queue lock and hang
   its siblings, and crash attribution is trivial (the job assigned to
   the dead worker is the lost one).
+* **The driver blocks, it does not poll.**  While every worker is busy
+  it sleeps in ``connection.wait`` on their pipes (a result or a
+  worker's death wakes it), so supervision costs no core the workers
+  could use.  Backoff expiries shorten the wait only while a worker is
+  free to take the retried job.
 * **Budgets enforced inside the worker** by a
   :class:`~repro.resilience.budget.BudgetWatchdog` that exits the
   process with a distinct code (``EXIT_TIMEOUT`` / ``EXIT_OOM``); the
@@ -168,7 +173,8 @@ def _worker_main(task_fn, conn, budget: CellBudget) -> None:
             status, value = "ok", task_fn(payload)
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             status, value = "task_error", f"{type(exc).__name__}: {exc}"
-        watchdog.disarm()
+        if watchdog.disarm():
+            os._exit(EXIT_TIMEOUT)  # overran between two watchdog polls
         try:
             conn.send((index, status, value))
         except (BrokenPipeError, OSError):
@@ -353,10 +359,12 @@ class SupervisedPool:
     ) -> None:
         now = time.monotonic()
         timeout = 0.25
-        if pending:
+        busy = [w for w in workers if w.job is not None]
+        if pending and len(busy) < len(workers):
+            # A backoff expiry matters only to a worker free to take
+            # the job; with every worker busy, block on their pipes.
             next_ready = min(job.ready_at for job in pending)
             timeout = min(timeout, max(0.0, next_ready - now))
-        busy = [w for w in workers if w.job is not None]
         if self.budget.deadline_s is not None:
             hard = self.budget.deadline_s + HARD_DEADLINE_GRACE_S
             for worker in busy:

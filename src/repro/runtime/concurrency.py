@@ -30,29 +30,11 @@ class FilteredScheduler(Scheduler):
         self._filters = filters
 
     def next(self, view: SchedulerView) -> ProcessId:
-        candidates = view.candidates
         for f in self._filters:
-            filtered = f(
-                SchedulerView(
-                    time=view.time,
-                    candidates=candidates,
-                    started=view.started,
-                    decided=view.decided,
-                    participants=view.participants,
-                )
-            )
-            candidates = tuple(filtered)
-        if not candidates:
+            view = view._replace(candidates=tuple(f(view)))
+        if not view.candidates:
             raise SchedulingError("all candidates filtered out")
-        return self._inner.next(
-            SchedulerView(
-                time=view.time,
-                candidates=candidates,
-                started=view.started,
-                decided=view.decided,
-                participants=view.participants,
-            )
-        )
+        return self._inner.next(view)
 
 
 class KConcurrencyFilter:

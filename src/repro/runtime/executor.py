@@ -267,12 +267,13 @@ class Executor:
         return self._schedulable_tuple
 
     def view(self) -> SchedulerView:
+        # Positional: the interpreter builds one view per step.
         return SchedulerView(
-            time=self.time,
-            candidates=self.schedulable(),
-            started=self.started_c,
-            decided=self.decided_c,
-            participants=self.system.participants,
+            self.time,
+            self.schedulable(),
+            self.started_c,
+            self.decided_c,
+            self.system.participants,
         )
 
     # -- incremental schedulability maintenance -------------------------

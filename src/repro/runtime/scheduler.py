@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..core.process import ProcessId
 from ..errors import SchedulingError
 
 
-@dataclass(frozen=True)
-class SchedulerView:
+class SchedulerView(NamedTuple):
     """What a scheduler may observe when choosing the next step.
+
+    Immutable, and cheap to build: the interpreter makes one per step.
+    Wrappers narrow a view with ``view._replace(candidates=...)``.
 
     Attributes:
         time: current global time (equals the step index; the paper's
@@ -130,14 +131,7 @@ class AdversarialScheduler(Scheduler):
             choice = victims[self._victim_cursor % len(victims)]
             self._victim_cursor += 1
             return choice
-        narrowed = SchedulerView(
-            time=view.time,
-            candidates=others,
-            started=view.started,
-            decided=view.decided,
-            participants=view.participants,
-        )
-        return self._fallback.next(narrowed)
+        return self._fallback.next(view._replace(candidates=others))
 
 
 class ExplicitScheduler(Scheduler):

@@ -7,6 +7,7 @@ byte-identical reports.
 """
 
 import multiprocessing
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.resilience import (
     AttemptFailure,
     CellBudget,
     RetryPolicy,
+    SupervisedPool,
     backoff_schedule,
     current_rss_mb,
     load_journal,
@@ -77,6 +79,19 @@ class TestBudgetEnforcement:
         )
         assert [r.outcome for r in report.records] == [OUTCOME_OOM]
         assert not report.complete
+
+    def test_job_finishing_past_its_deadline_is_a_timeout(self):
+        # The watchdog never polls within the job (60 s grain), so only
+        # the check at completion can see the 0.2 s job overrun 0.05 s.
+        pool = SupervisedPool(
+            time.sleep,
+            workers=1,
+            budget=CellBudget(deadline_s=0.05, poll_interval_s=60.0),
+            retry=FAST_QUARANTINE,
+        )
+        (result,) = pool.run([(0, 0.2)])
+        assert not result.ok
+        assert result.kind == "timeout"
 
 
 class TestRetryAndQuarantine:

@@ -140,3 +140,28 @@ def test_standard_suite_composition():
     assert kinds.count("RoundRobinScheduler") == 1
     assert kinds.count("SeededRandomScheduler") == 2
     assert kinds.count("AdversarialScheduler") == len(PIDS)
+
+
+class TestSchedulerView:
+    def test_fields_cannot_be_assigned(self):
+        v = view(PIDS)
+        with pytest.raises(AttributeError):
+            v.candidates = ()
+        with pytest.raises(AttributeError):
+            v.time = 1
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = view(PIDS, time=4)
+        by_position = SchedulerView(
+            4, PIDS, frozenset(), frozenset(), frozenset()
+        )
+        assert by_keyword == by_position
+        assert by_keyword.time == 4
+        assert by_keyword.candidates == PIDS
+
+    def test_replace_narrows_a_copy(self):
+        v = view(PIDS, time=2)
+        narrowed = v._replace(candidates=PIDS[:1])
+        assert narrowed.candidates == PIDS[:1]
+        assert narrowed.time == 2
+        assert v.candidates == PIDS
