@@ -100,8 +100,10 @@ def test_tracing_overhead(benchmark, traced):
 
 
 def test_checkpoint_restore_roundtrip(benchmark):
-    """Covers the exploration fast path: snapshot an executor mid-run
-    (COW memory + log-prefix capture) and rebuild it by log replay."""
+    """Covers the exploration fast path: drive an exploring executor
+    mid-run (building each process's history trie), then checkpoint it
+    (trie-node references + COW memory) and restore it the way the
+    explorer restores a node's siblings, many times over."""
 
     def run():
         system = System(inputs=(1,) * 4, c_factories=[reader_writer] * 4)
@@ -114,9 +116,10 @@ def test_checkpoint_restore_roundtrip(benchmark):
         for _ in range(100):
             executor.step_trusted(executor.schedulable()[0])
         checkpoint = executor.checkpoint()
-        restored = Executor.restore(
-            system, RoundRobinScheduler(), checkpoint, max_steps=200
-        )
+        for _ in range(100):
+            restored = Executor.restore(
+                system, RoundRobinScheduler(), checkpoint, max_steps=200
+            )
         assert restored.time == executor.time
         return restored
 

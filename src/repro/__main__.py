@@ -6,8 +6,8 @@ Commands:
     check TASK              exhaustively certify a built-in restricted
                             algorithm over every gated interleaving of
                             one small instance (explorer knobs:
-                            --depth, --checkpoint-stride, --dedup,
-                            --por, --symmetry; preemption knobs:
+                            --depth, --max-runs, --dedup, --por,
+                            --symmetry; preemption knobs:
                             --deadline-s, --checkpoint, --resume)
     check-renaming J NAMES  decide 2-process solvability of strong
                             2-renaming with the given namespace size
@@ -198,7 +198,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         inputs,
         max_depth=args.depth,
         max_runs=args.max_runs,
-        checkpoint_stride=args.checkpoint_stride,
         dedup=args.dedup,
         por=args.por,
         symmetry=args.symmetry,
@@ -679,13 +678,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=200_000,
         help="hard cap on completed+truncated runs (default 200000)",
-    )
-    p.add_argument(
-        "--checkpoint-stride",
-        type=int,
-        default=4,
-        help="executor checkpoint every N levels of descent; trades "
-        "checkpoint memory against suffix replay (default 4)",
     )
     p.add_argument(
         "--dedup",

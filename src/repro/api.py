@@ -77,7 +77,6 @@ def verify_run(
     concurrency: int | None = None,
     max_depth: int = 14,
     max_runs: int = 200_000,
-    checkpoint_stride: int = 4,
     dedup: bool = False,
     por: bool = False,
     symmetry: bool = False,
@@ -98,10 +97,10 @@ def verify_run(
     :class:`~repro.errors.SafetyViolation` if any interleaving leaves
     the task relation.  The remaining keywords are the
     :class:`~repro.checker.explorer.ScheduleExplorer` knobs:
-    ``checkpoint_stride`` trades checkpoint memory against replay
-    work, while ``dedup`` / ``por`` / ``symmetry`` are the opt-in
-    state, partial-order, and process-symmetry reductions (they change
-    node counts, never the verdict).
+    ``max_depth`` and ``max_runs`` bound the exploration, and
+    ``dedup`` / ``por`` / ``symmetry`` are the opt-in state,
+    partial-order, and process-symmetry reductions (they change node
+    counts, never the verdict).
 
     ``deadline_s`` bounds the exhaustive exploration's wall-clock time.
     A certificate is all-or-nothing, so hitting the deadline raises
@@ -131,7 +130,6 @@ def verify_run(
             result.inputs,
             max_depth=max_depth,
             max_runs=max_runs,
-            checkpoint_stride=checkpoint_stride,
             dedup=dedup,
             por=por,
             symmetry=symmetry,

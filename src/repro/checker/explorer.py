@@ -6,15 +6,14 @@ safety, k-concurrency bounds) into machine-checked facts rather than
 sampled evidence.  The classifier and several integration tests use
 this to certify the upper-bound algorithms on small instances.
 
-Exploration is a DFS over the executor's ``schedulable()`` sets.  Since
-executors cannot be forked (automata are live generators), backtracking
-has to re-establish prefix state.  The explorer keeps a *checkpoint
-stack*: every ``checkpoint_stride`` levels of descent it captures the
-executor (copy-on-write register snapshot + per-process result logs,
-see :meth:`~repro.runtime.executor.Executor.checkpoint`), and sibling
-expansion restores the deepest checkpoint on the target path and
-replays only the suffix — instead of rebuilding the system and
-replaying the whole prefix, which made backtracking O(depth²).
+Exploration is a DFS over the executor's ``schedulable()`` sets.  Every
+expanded node checkpoints its executor — per-process history-trie nodes
+plus a copy-on-write register snapshot, see
+:meth:`~repro.runtime.executor.Executor.checkpoint` — and each child on
+the frontier carries that checkpoint.  Visiting a node costs one
+O(#processes) restore of its parent plus one step (the first child
+skips the restore: it steps the executor its parent left behind), and
+no automaton code is re-run to backtrack.
 
 Optional state-fingerprint deduplication (``dedup=True``) prunes
 interleavings that reach an execution state already explored at the
@@ -63,11 +62,14 @@ stack (not Python recursion), so :meth:`ScheduleExplorer.check` can
 stop at a wall-clock ``deadline_s`` or on SIGINT/SIGTERM, serialize the
 frontier — pending ``(schedule, sleep set)`` nodes, the report
 counters, and the dedup ``seen`` map — to an atomic checkpoint file,
-and a later ``resume_from`` run re-establishes prefix state by replay
-and continues *exactly*: the final report of an interrupted-and-resumed
-exploration is equal, counter for counter, to an uninterrupted one,
-because nodes are expanded in the identical order and no counter is
-charged twice (the frontier is saved before the next node is popped).
+and a later ``resume_from`` run replays each saved node's schedule
+from a fresh executor and continues *exactly*: the final report of an
+interrupted-and-resumed exploration is equal, counter for counter, to
+an uninterrupted one, because nodes are expanded in the identical
+order and no counter is charged twice (the frontier is saved before
+the next node is popped).  The resuming interpreter may differ: no
+Python ``hash`` enters a fingerprint, so the ``seen`` map stays valid
+under another ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from .independence import StepFootprint, commutes, step_footprint
 from .symmetry import c_orbits, canonical_fingerprint, prune_interchangeable
 
 EXPLORER_CHECKPOINT_FORMAT = "repro-explorer-checkpoint"
-EXPLORER_CHECKPOINT_VERSION = 1
+EXPLORER_CHECKPOINT_VERSION = 2
 
 #: Explorer knobs that must match between a checkpoint and the
 #: explorer resuming from it.
@@ -126,17 +128,14 @@ class ScheduleExplorer:
     """Enumerate all interleavings of a (small) system up to a depth.
 
     Args:
-        system_builder: creates a fresh, identical system per replay
-            (systems are deterministic given their seed).
+        system_builder: creates the system to explore, once per
+            :meth:`check` (systems are deterministic given their seed).
         max_depth: schedule-length bound.
         candidate_filter: optional narrowing of the schedulable set
             (e.g. drop null-stepping S-processes, or impose the
             k-concurrency gate); receives the executor and the candidate
             tuple, returns the candidates to branch on.
         max_runs: hard cap on completed+truncated runs (safety valve).
-        checkpoint_stride: take an executor checkpoint every this many
-            levels of descent; sibling expansion replays at most this
-            many suffix steps on top of a cheap restore.
         dedup: prune states whose fingerprint was already explored
             (opt-in; changes node counts, never the verdict).
         por: sleep-set partial-order reduction — prune sibling orders
@@ -156,18 +155,14 @@ class ScheduleExplorer:
         max_depth: int,
         candidate_filter: Callable | None = None,
         max_runs: int = 200_000,
-        checkpoint_stride: int = 4,
         dedup: bool = False,
         por: bool = False,
         symmetry: bool = False,
     ) -> None:
-        if checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be >= 1")
         self.system_builder = system_builder
         self.max_depth = max_depth
         self.candidate_filter = candidate_filter
         self.max_runs = max_runs
-        self.checkpoint_stride = checkpoint_stride
         self.dedup = dedup
         self.por = por
         self.symmetry = symmetry
@@ -175,91 +170,58 @@ class ScheduleExplorer:
         #: set by :meth:`request_interrupt` (or a signal handler) to
         #: stop the running :meth:`check` before its next node.
         self._interrupt = False
-        #: schedule prefix of the executor most recently produced by
-        #: :meth:`_executor_for` (the node currently being visited).
+        #: schedule of the node currently being visited.
         self.current_schedule: tuple[ProcessId, ...] = ()
+        #: the executor of the node expanded last, and that node's
+        #: checkpoint while the executor still holds its state.
         self._current: Executor | None = None
+        self._current_at: ExecutorCheckpoint | None = None
         self._system: System | None = None
-        # Replay executors are driven via step_trusted and never consult
-        # their scheduler, so a single inert one serves them all.
+        # Exploring executors are driven via step_trusted and never
+        # consult their scheduler, so a single inert one serves them all.
         self._scheduler = ExplicitScheduler([], strict=False)
-        #: stack of (schedule prefix, checkpoint), shallowest first
-        self._checkpoints: list[
-            tuple[tuple[ProcessId, ...], ExecutorCheckpoint]
-        ] = []
 
     # -- executor management -------------------------------------------
 
     def _shared_system(self) -> System:
-        """One system instance serves every replay executor: systems are
-        immutable during execution (all run state lives in the executor)
-        and histories are pure functions of (process, time), so replays
-        observe identical behaviour while skipping the per-replay
-        system construction."""
+        """One system instance serves every executor of an exploration:
+        systems are immutable during execution (all run state lives in
+        the executor), histories are pure functions of (process, time),
+        and the system owns the history tries the executors share."""
         if self._system is None:
             self._system = self.system_builder()
         return self._system
 
-    def _fresh_executor(self) -> Executor:
-        return Executor(
-            self._shared_system(),
-            self._scheduler,
-            max_steps=self.max_depth + 1,
-            record_results=True,
-            record_ops=self.symmetry,
-        )
-
-    def _maybe_checkpoint(
-        self, schedule: tuple[ProcessId, ...], executor: Executor
-    ) -> None:
-        depth = len(schedule)
-        if depth and depth % self.checkpoint_stride == 0:
-            if not self._checkpoints or len(self._checkpoints[-1][0]) < depth:
-                self._checkpoints.append((schedule, executor.checkpoint()))
-
     def _executor_for(
         self,
         schedule: tuple[ProcessId, ...],
-        parent: tuple[ProcessId, ...] | None = None,
+        parent: ExecutorCheckpoint | None,
     ) -> Executor:
-        # Fast path: descending one step from the node just visited.
-        # ``parent`` is the caller's own schedule *object*; the identity
-        # check is O(1) and can only under-approximate (an equal tuple
-        # that is a different object falls through to the replay path).
-        if (
-            parent is not None
-            and self.current_schedule is parent
-            and self._current is not None
-        ):
-            executor = self._current
-            executor.step_trusted(schedule[-1])
-            self.current_schedule = schedule
-            self._maybe_checkpoint(schedule, executor)
-            return executor
-        # Backtrack: drop checkpoints that are not a prefix of the
-        # target, restore the deepest surviving one, replay the suffix.
-        while self._checkpoints:
-            prefix, _ = self._checkpoints[-1]
-            if schedule[: len(prefix)] == prefix:
-                break
-            self._checkpoints.pop()
-        if self._checkpoints:
-            prefix, checkpoint = self._checkpoints[-1]
-            executor = Executor.restore(
+        """The executor at ``schedule``: one step from ``parent``, the
+        checkpoint of the node that pushed it, or (for the root and for
+        nodes resumed from a frontier file) a replay from scratch."""
+        if parent is None:
+            executor = Executor(
                 self._shared_system(),
                 self._scheduler,
-                checkpoint,
                 max_steps=self.max_depth + 1,
+                record_results=True,
             )
-            replay_from = len(prefix)
+            for pid in schedule:
+                executor.step_trusted(pid)
         else:
-            executor = self._fresh_executor()
-            replay_from = 0
-        for depth in range(replay_from, len(schedule)):
-            executor.step_trusted(schedule[depth])
-            self._maybe_checkpoint(schedule[: depth + 1], executor)
+            if parent is self._current_at:
+                executor = self._current
+            else:
+                executor = Executor.restore(
+                    self._shared_system(),
+                    self._scheduler,
+                    parent,
+                    max_steps=self.max_depth + 1,
+                )
+            executor.step_trusted(schedule[-1])
+        self._current_at = None
         self.current_schedule = schedule
-        self._current = executor
         return executor
 
     def _branches(
@@ -292,9 +254,9 @@ class ScheduleExplorer:
         stack: list,
         seen: dict | None,
     ) -> None:
-        # Stack entries carry a parent schedule reference used only for
-        # an identity fast path; it never survives a restore, so strip
-        # it (pickling it would deep-copy shared prefixes anyway).
+        # Stack entries carry their parent's executor checkpoint, which
+        # holds live trie nodes: strip it, and let a resumed node replay
+        # its schedule instead.
         payload = {
             "format": EXPLORER_CHECKPOINT_FORMAT,
             "version": EXPLORER_CHECKPOINT_VERSION,
@@ -363,7 +325,7 @@ class ScheduleExplorer:
         seen: dict[bytes, list[frozenset]] | None = (
             {} if self.dedup else None
         )
-        #: frontier entries: (schedule, sleep set, parent schedule ref)
+        #: frontier entries: (schedule, sleep set, parent checkpoint)
         stack: list = [((), frozenset(), None)]
         if resume_from is not None:
             report, stack, seen = self._load_checkpoint(resume_from)
@@ -371,8 +333,8 @@ class ScheduleExplorer:
             report.checkpoint_path = None
         self.current_schedule = ()
         self._current = None
+        self._current_at = None
         self._system = None
-        self._checkpoints = []
         self._interrupt = False
         self._orbits = (
             c_orbits(self._shared_system()) if self.symmetry else ()
@@ -492,12 +454,14 @@ class ScheduleExplorer:
             if not branches:
                 report.completed_runs += 1
                 continue
+            checkpoint = executor.checkpoint()
+            self._current = executor
+            self._current_at = checkpoint
             children: list = []
             if self.por and not executor.crashes_pending():
                 # Footprints must be taken *now*, while the executor
-                # still holds this node's state: it is shared down the
-                # DFS and will have mutated by the time a sibling is
-                # popped.
+                # still holds this node's state: the first child steps
+                # it on.
                 footprints: dict[ProcessId, StepFootprint] = {
                     pid: step_footprint(executor, pid)
                     for pid in {*branches, *sleep}
@@ -514,7 +478,7 @@ class ScheduleExplorer:
                         if commutes(footprints[t], pid_fp)
                     )
                     children.append(
-                        (schedule + (pid,), child_sleep, schedule)
+                        (schedule + (pid,), child_sleep, checkpoint)
                     )
                     taken.append(pid)
             else:
@@ -522,7 +486,7 @@ class ScheduleExplorer:
                 # everything is dependent, so all sleepers wake).
                 for pid in branches:
                     children.append(
-                        (schedule + (pid,), frozenset(), schedule)
+                        (schedule + (pid,), frozenset(), checkpoint)
                     )
             stack.extend(reversed(children))
 

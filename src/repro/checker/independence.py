@@ -84,7 +84,7 @@ def step_footprint(executor: Executor, pid: ProcessId) -> StepFootprint:
     op = executor.peek(pid)
     if (
         pid.is_computation
-        and not executor.slot_view(pid)[0]  # not started: first step
+        and pid.index not in executor.started_c  # first step
     ) or op is None:
         return StepFootprint(pid, (), (), (), universal=True)
     prints = op_footprint(op)

@@ -13,13 +13,14 @@ Two reductions exploit this:
 * **Candidate pruning** (:func:`prune_interchangeable`): when several
   orbit members are schedulable and their execution histories so far
   are *literally* equal — same started/halted flags, same step count,
-  same result log, and the same recorded operation log — stepping any
-  of them leads to states that are images of each other under the
-  swap, so only the smallest index is explored.  Literal op-log
-  equality matters: equal *result* logs alone do not imply the
+  the same operations performed and the same results received —
+  stepping any of them leads to states that are images of each other
+  under the swap, so only the smallest index is explored.  Literal
+  operation equality matters: equal *results* alone do not imply the
   processes touched the same registers (an automaton may embed its own
-  index in register names), so the executor must record ops
-  (``record_ops=True``).
+  index in register names).  The exploring executor's history digest
+  (:meth:`~repro.runtime.executor.Executor.slot_view`) covers both
+  sequences, so equal digests are exactly this condition.
 
 * **Canonical fingerprints** (:func:`canonical_fingerprint`): the
   dedup fingerprint is made orbit-invariant by (a) listing each
@@ -28,9 +29,9 @@ Two reductions exploit this:
   the only registers whose names the executor itself derives from a
   process index — into those bundles.  All other memory is compared
   literally, so two states only collapse when the permutation matching
-  their bundles maps each member onto one with an identical op log,
-  result log, and decision — exactly the condition under which the
-  states are literal images of each other under the permutation.
+  their bundles maps each member onto one with an identical history
+  digest and decision — exactly the condition under which the states
+  are literal images of each other under the permutation.
 """
 
 from __future__ import annotations
@@ -63,15 +64,7 @@ def c_orbits(system: System) -> tuple[tuple[int, ...], ...]:
 
 
 def _bundle(executor: Executor, index: int) -> tuple:
-    started, halted, steps, result_log, op_log = executor.slot_view(
-        c_process(index)
-    )
-    return (
-        started,
-        halted,
-        steps,
-        repr(result_log),
-        repr(op_log),
+    return executor.slot_view(c_process(index)) + (
         repr(executor.decisions.get(index, _UNDECIDED)),
     )
 
@@ -118,7 +111,7 @@ def canonical_fingerprint(
     executor: Executor, orbits: tuple[tuple[int, ...], ...]
 ) -> bytes:
     """Orbit-invariant state digest (see module docstring).  Requires
-    an executor recording both results and ops."""
+    an exploring executor (``record_results=True``)."""
     member_of: dict[int, int] = {}
     for orbit_no, orbit in enumerate(orbits):
         for index in orbit:
@@ -133,22 +126,22 @@ def canonical_fingerprint(
             )
             orbit_bundles[member_of[pid.index]].append(bundle)
         else:
-            started, halted, steps, result_log, _op_log = (
-                executor.slot_view(pid)
-            )
-            fixed_slots.append((started, halted, repr(result_log)))
+            started, halted, _steps, digest = executor.slot_view(pid)
+            fixed_slots.append((started, halted, digest))
+    # The snapshot is in canonical order and the decided vector is
+    # indexed, so neither needs sorting.
     state: Any = (
         executor.time,
-        sorted(
-            (name, repr(value))
-            for name, value in executor.memory.snapshot("").items()
-            if name not in inp_names
-        ),
-        sorted(
-            (i, repr(d))
-            for i, d in executor.decisions.items()
-            if i not in member_of
-        ),
+        [
+            item
+            for item in executor.memory.snapshot("").items()
+            if item[0] not in inp_names
+        ],
+        [
+            item
+            for item in enumerate(executor.decided_vector())
+            if item[0] not in member_of
+        ],
         fixed_slots,
         [sorted(bundles) for bundles in orbit_bundles],
     )

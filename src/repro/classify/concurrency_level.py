@@ -107,7 +107,6 @@ def explore_k_concurrent(
     *,
     max_depth: int = 14,
     max_runs: int = 200_000,
-    checkpoint_stride: int = 4,
     dedup: bool = False,
     por: bool = False,
     symmetry: bool = False,
@@ -141,7 +140,6 @@ def explore_k_concurrent(
         max_depth=max_depth,
         candidate_filter=gate,
         max_runs=max_runs,
-        checkpoint_stride=checkpoint_stride,
         dedup=dedup,
         por=por,
         symmetry=symmetry,

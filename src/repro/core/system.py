@@ -98,6 +98,9 @@ class System:
             i for i, v in enumerate(self.inputs) if v is not None
         )
         self._contexts: dict[ProcessId, ProcessContext] = {}
+        #: per-process history tries shared by every exploring executor
+        #: over this system (built lazily by :mod:`repro.runtime.executor`)
+        self.history_tries: dict[ProcessId, Any] = {}
 
     def _build_history(self) -> History:
         if self.detector is None:
@@ -106,8 +109,8 @@ class System:
         return self.detector.build_history(self.pattern, rng)
 
     def context_for(self, pid: ProcessId) -> ProcessContext:
-        # Memoized: contexts are immutable and checkpoint restores
-        # re-request them for every rebuilt generator.
+        # Memoized: contexts are immutable and every executor (and every
+        # history-trie replay) over this system requests them.
         ctx = self._contexts.get(pid)
         if ctx is None:
             input_value = (

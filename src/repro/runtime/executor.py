@@ -27,20 +27,31 @@ allocated when tracing is on, and :meth:`run` drives steps through the
 trusted :meth:`step_trusted` path, skipping the schedulability
 re-validation it performed itself.
 
-For checkpointed exploration (:mod:`repro.checker.explorer`), an
-executor constructed with ``record_results=True`` keeps each process's
-sequence of operation results; :meth:`checkpoint` captures the full
-execution state (memory via an O(1) copy-on-write clone) and
-:meth:`restore` rebuilds an equivalent executor by replaying each
-generator against its recorded results — pure local computation, far
-cheaper than re-running the schedule through the full step machinery.
+An executor constructed with ``record_results=True`` explores
+(:mod:`repro.checker.explorer`): instead of one generator per process it
+walks a per-process *history trie* that the system owns and every
+exploring executor over it shares.  A trie node is one sequence of
+results the process has received; it stores the operation the process
+yields next, whether it halted, and a content digest (blake2b over the
+parent's digest, ``repr(op)`` and ``repr(result)``: no Python ``hash``
+enters it, so it does not change with ``PYTHONHASHSEED``).  Each node
+is computed once — by the single generator each trie keeps parked, or
+by a replay along the trie path when that generator sits elsewhere —
+and a step that meets a known result just follows the edge.
+:meth:`checkpoint` and :meth:`restore` therefore copy node references
+plus the copy-on-write memory and run no automaton code, and
+:meth:`fingerprint` takes each process's state from its node digest.
+
+This rests on one assumption about automata, which every automaton in
+this repository meets: a process's next operation is a function of the
+results it has received (results being identified by their ``repr``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Any, Callable
+from hashlib import blake2b
+from typing import Any, Callable, NamedTuple
 
 from ..core.process import ProcessId, c_process, s_process
 from ..core.run import RunResult
@@ -53,12 +64,9 @@ from .trace import Trace, TraceEvent
 
 
 class _ProcessSlot:
-    """Runtime state of one process."""
+    """Runtime state of one process driven by its own generator."""
 
-    __slots__ = (
-        "pid", "generator", "pending", "halted", "started", "steps",
-        "result_log", "op_log",
-    )
+    __slots__ = ("pid", "generator", "pending", "halted", "started", "steps")
 
     def __init__(self, pid: ProcessId, generator) -> None:
         self.pid = pid
@@ -67,12 +75,6 @@ class _ProcessSlot:
         self.halted = False
         self.started = False
         self.steps = 0
-        self.result_log: list[Any] | None = None
-        #: operations the automaton actually executed, in order
-        #: (``record_ops`` only; the mandated input write is implied by
-        #: ``started`` and is not recorded).  Symmetry reduction compares
-        #: these logs to decide whether two processes are interchangeable.
-        self.op_log: list[Any] | None = None
 
     def prime(self) -> None:
         """Obtain the first operation (local computation, takes no step)."""
@@ -89,30 +91,165 @@ class _ProcessSlot:
             self.pending = None
 
 
-@dataclass(frozen=True)
-class ExecutorCheckpoint:
+#: Digest of the empty history (a primed process that received nothing).
+_ROOT_DIGEST = blake2b(b"", digest_size=16).digest()
+#: Stand-in digest of a C-process that has not started.
+_NO_HISTORY = bytes(16)
+#: ``_FLAGS[started][halted]``: a slot's flags in a fingerprint.
+_FLAGS = ((b"\x00", b"\x01"), (b"\x02", b"\x03"))
+
+
+class _HistoryNode:
+    """One history of a process: the results it received, in order."""
+
+    __slots__ = ("parent", "result", "pending", "halted", "digest", "children")
+
+    def __init__(
+        self, parent: "_HistoryNode | None", result: Any, digest: bytes
+    ) -> None:
+        self.parent = parent
+        #: the result on the edge from ``parent`` (kept for replays)
+        self.result = result
+        self.pending: Any = None
+        self.halted = False
+        self.digest = digest
+        #: ``repr(result)`` -> child
+        self.children: dict[str, _HistoryNode] = {}
+
+
+class _HistoryTrie:
+    """Every history one process has reached in a system's explorations.
+
+    One generator is kept parked at the node it last computed; a child
+    of any other node is computed by replaying a fresh generator along
+    the trie path.  Parking one generator per node instead would grow
+    with the number of distinct histories.
+    """
+
+    __slots__ = ("factory", "context", "root_node", "live", "live_at")
+
+    def __init__(self, factory, context) -> None:
+        self.factory = factory
+        self.context = context
+        self.root_node: _HistoryNode | None = None
+        self.live: Any = None
+        self.live_at: _HistoryNode | None = None
+
+    def root(self) -> _HistoryNode:
+        if self.root_node is None:
+            node = _HistoryNode(None, None, _ROOT_DIGEST)
+            self._compute(node, self.factory(self.context), None)
+            self.root_node = node
+        return self.root_node
+
+    def child(self, node: _HistoryNode, result: Any) -> _HistoryNode:
+        key = repr(result)
+        child = node.children.get(key)
+        if child is None:
+            if self.live_at is node:
+                generator = self.live
+            else:
+                generator = self._replay(node)
+            op = repr(node.pending).encode()
+            digest = blake2b(node.digest, digest_size=16)
+            digest.update(b"%d:" % len(op))
+            digest.update(op)
+            digest.update(key.encode())
+            child = _HistoryNode(node, result, digest.digest())
+            self._compute(child, generator, result)
+            node.children[key] = child
+        return child
+
+    def _compute(self, node: _HistoryNode, generator, result: Any) -> None:
+        """Fill in ``node`` by sending ``result`` to ``generator`` (which
+        sits at the node's parent; a fresh one, sent ``None``, for the
+        root), then park the generator at it."""
+        self.live_at = None  # a raising automaton leaves nothing parked
+        try:
+            node.pending = generator.send(result)
+        except StopIteration:
+            node.halted = True
+            self.live = None
+        else:
+            self.live = generator
+            self.live_at = node
+
+    def _replay(self, node: _HistoryNode) -> Any:
+        """A fresh generator brought to ``node`` along the trie path."""
+        path = []
+        while node.parent is not None:
+            path.append(node.result)
+            node = node.parent
+        generator = self.factory(self.context)
+        generator.send(None)
+        for result in reversed(path):
+            generator.send(result)
+        return generator
+
+
+def _trie_of(system: System, pid: ProcessId) -> _HistoryTrie:
+    trie = system.history_tries.get(pid)
+    if trie is None:
+        factories = (
+            system.c_factories if pid.is_computation else system.s_factories
+        )
+        trie = _HistoryTrie(factories[pid.index], system.context_for(pid))
+        system.history_tries[pid] = trie
+    return trie
+
+
+class _TrieSlot(_ProcessSlot):
+    """Runtime state of one process of an exploring executor: a
+    position in the process's history trie (``None`` until a C-process
+    starts) instead of a generator."""
+
+    __slots__ = ("trie", "node")
+
+    def __init__(
+        self,
+        pid: ProcessId,
+        trie: _HistoryTrie,
+        node: _HistoryNode | None = None,
+        started: bool = False,
+        halted: bool = False,
+        steps: int = 0,
+    ) -> None:
+        # Sets every field itself: restores build one slot per process.
+        self.pid = pid
+        self.generator = None
+        self.pending = None if node is None else node.pending
+        self.halted = halted
+        self.started = started
+        self.steps = steps
+        self.trie = trie
+        self.node = node
+
+    def _enter(self, node: _HistoryNode) -> None:
+        self.node = node
+        self.pending = node.pending
+        self.halted = node.halted
+
+    def prime(self) -> None:
+        self._enter(self.trie.root())
+
+    def resume(self, result: Any) -> None:
+        self._enter(self.trie.child(self.node, result))
+
+
+class ExecutorCheckpoint(NamedTuple):
     """Restorable execution state captured by :meth:`Executor.checkpoint`.
 
-    Generators cannot be forked, so a checkpoint stores what *determines*
-    them instead: per-process result logs.  :meth:`Executor.restore`
-    rebuilds fresh generators and fast-forwards each one by replaying its
-    log — deterministic local computation that never touches shared
-    memory, the detector, or the scheduler.
+    Generators cannot be forked, so a checkpoint stores each process's
+    position in its history trie instead (see the module docstring):
+    restoring it runs no automaton code.
     """
 
     time: int
     memory: RegisterFile
     decisions: tuple[tuple[int, Any], ...]
-    #: per process: (pid, started, halted, steps, log ref, log length,
-    #: op-log ref, op-log length).  The log references alias the live
-    #: executor's append-only logs; only their first ``length`` entries
-    #: belong to this checkpoint.  Appends never invalidate a captured
-    #: prefix, which is what makes taking a checkpoint O(#processes)
-    #: rather than O(steps).  The op-log pair is ``(None, 0)`` unless the
-    #: executor records operations.
-    slots: tuple[
-        tuple[ProcessId, bool, bool, int, list[Any], int, Any, int], ...
-    ]
+    #: per process: (pid, trie, trie node or ``None``, started, halted,
+    #: steps) — the arguments of its restored slot
+    slots: tuple[tuple[Any, ...], ...]
     #: derived state captured so :meth:`Executor.restore` does not have
     #: to recompute it: the schedulable list, the crash-queue position,
     #: and the decided output vector.
@@ -133,12 +270,10 @@ class Executor:
         stop_when: optional predicate over the executor; when it returns
             true the run stops with reason ``"predicate"``.  Used by
             reduction algorithms that never "decide".
-        record_results: keep per-process operation-result logs so the
-            executor can be checkpointed (see :meth:`checkpoint`).
-        record_ops: additionally keep per-process logs of the operations
-            actually executed (requires ``record_results``); the
-            explorer's symmetry reduction compares these to recognize
-            interchangeable processes.
+        record_results: make this an exploring executor: it walks the
+            system's per-process history tries instead of owning
+            generators, so it can be checkpointed, restored and
+            fingerprinted (see :meth:`checkpoint`).
     """
 
     def __init__(
@@ -150,10 +285,7 @@ class Executor:
         trace: bool = False,
         stop_when: Callable[["Executor"], bool] | None = None,
         record_results: bool = False,
-        record_ops: bool = False,
     ) -> None:
-        if record_ops and not record_results:
-            raise ProtocolError("record_ops requires record_results")
         self.system = system
         self.scheduler = scheduler
         self.max_steps = max_steps
@@ -163,28 +295,24 @@ class Executor:
         self.time = 0
         self.decisions: dict[int, Any] = {}
         self.record_results = record_results
-        self.record_ops = record_ops
         self._slots: dict[ProcessId, _ProcessSlot] = {}
         # Insertion order is the canonical sorted order (all C before S,
         # then by index), which keeps the schedulable list sorted for free.
-        for i in range(system.n_c):
-            pid = c_process(i)
-            slot = _ProcessSlot(
-                pid, system.c_factories[i](system.context_for(pid))
-            )
+        for pid in system.all_pids():
+            if record_results:
+                slot: _ProcessSlot = _TrieSlot(pid, _trie_of(system, pid))
+            else:
+                factories = (
+                    system.c_factories
+                    if pid.is_computation
+                    else system.s_factories
+                )
+                slot = _ProcessSlot(
+                    pid, factories[pid.index](system.context_for(pid))
+                )
+            if not pid.is_computation:
+                slot.prime()
             self._slots[pid] = slot
-        for i in range(system.n_s):
-            pid = s_process(i)
-            slot = _ProcessSlot(
-                pid, system.s_factories[i](system.context_for(pid))
-            )
-            slot.prime()
-            self._slots[pid] = slot
-        if record_results:
-            for slot in self._slots.values():
-                slot.result_log = []
-                if record_ops:
-                    slot.op_log = []
         # -- incremental schedulability state --------------------------
         self._started: set[int] = set()
         self._started_frozen: frozenset[int] | None = frozenset()
@@ -228,28 +356,34 @@ class Executor:
         reduction.
 
         For a C-process that has not started, this is the mandated
-        first-step write of its task input.  For a lazily-restored slot
-        that never stepped, the generator is materialized here (pure
-        local computation; see :meth:`restore`).  Returns ``None`` for a
-        halted process.
+        first-step write of its task input.  Returns ``None`` for a
+        process whose automaton returned.
         """
         slot = self._slots[pid]
         if pid.is_computation and not slot.started:
             return ops.Write(
                 input_register(pid.index), self.system.inputs[pid.index]
             )
-        if slot.generator is None and not slot.halted:
-            self._materialize(slot)
         return slot.pending
 
     def slot_view(self, pid: ProcessId) -> tuple:
-        """Snapshot of one process's execution history, for symmetry
-        comparisons: ``(started, halted, steps, result log, op log)``.
-        The logs are the live lists — callers must not mutate them."""
+        """One process's execution history, for symmetry comparisons:
+        ``(started, halted, steps, digest)``.  The digest covers every
+        operation the process performed and every result it received
+        (all zero bytes before a C-process starts).  Requires
+        ``record_results=True``."""
+        if not self.record_results:
+            raise ProtocolError(
+                "slot_view() requires an executor constructed with "
+                "record_results=True"
+            )
         slot = self._slots[pid]
+        node = slot.node
         return (
-            slot.started, slot.halted, slot.steps,
-            slot.result_log, slot.op_log,
+            slot.started,
+            slot.halted,
+            slot.steps,
+            _NO_HISTORY if node is None else node.digest,
         )
 
     def crashes_pending(self) -> bool:
@@ -339,28 +473,7 @@ class Executor:
         do), so the membership re-check is skipped."""
         self._step(pid, self._slots[pid])
 
-    def _materialize(self, slot: _ProcessSlot) -> None:
-        """Build the generator of a lazily-restored, never-stepped slot
-        (see :meth:`restore`).  Deterministic: the slot took no steps in
-        the checkpointed run, so a fresh generator is in the same state
-        its original was in."""
-        pid = slot.pid
-        system = self.system
-        if pid.is_computation:
-            slot.generator = system.c_factories[pid.index](
-                system.context_for(pid)
-            )
-        else:
-            slot.generator = system.s_factories[pid.index](
-                system.context_for(pid)
-            )
-            slot.prime()
-            if slot.halted:  # unreachable for replayed slots; keep sane
-                self._retire(pid)
-
     def _step(self, pid: ProcessId, slot: _ProcessSlot) -> None:
-        if slot.generator is None:
-            self._materialize(slot)
         if pid.is_computation and not slot.started:
             # The paper: the first step of a C-process writes its input.
             slot.started = True
@@ -411,10 +524,6 @@ class Executor:
                 result = self._perform(pid, op)
             if self.trace.enabled:
                 self.trace.record(TraceEvent(self.time, pid, op, result))
-            if slot.result_log is not None:
-                slot.result_log.append(result)
-                if slot.op_log is not None:
-                    slot.op_log.append(op)
             slot.resume(result)
             if slot.halted:
                 self._retire(pid)
@@ -463,33 +572,30 @@ class Executor:
 
     def checkpoint(self) -> ExecutorCheckpoint:
         """Capture restorable execution state (requires
-        ``record_results=True``; memory is captured as an O(1)
-        copy-on-write clone)."""
+        ``record_results=True``): O(#processes) trie-node references
+        plus an O(1) copy-on-write clone of memory."""
         if not self.record_results:
             raise ProtocolError(
                 "checkpoint() requires an executor constructed with "
                 "record_results=True"
             )
+        # Positional: the explorer checkpoints every node it expands.
         return ExecutorCheckpoint(
-            time=self.time,
-            memory=self.memory.copy(),
-            decisions=tuple(self.decisions.items()),
-            slots=tuple(
-                (
-                    pid,
-                    slot.started,
-                    slot.halted,
-                    slot.steps,
-                    slot.result_log,
-                    len(slot.result_log),
-                    slot.op_log,
-                    0 if slot.op_log is None else len(slot.op_log),
-                )
-                for pid, slot in self._slots.items()
+            self.time,
+            self.memory.copy(),
+            tuple(self.decisions.items()),
+            tuple(
+                [
+                    (
+                        pid, slot.trie, slot.node,
+                        slot.started, slot.halted, slot.steps,
+                    )
+                    for pid, slot in self._slots.items()
+                ]
             ),
-            schedulable=self.schedulable(),
-            crash_pos=self._crash_pos,
-            decided_vector=self.decided_vector(),
+            self.schedulable(),
+            self._crash_pos,
+            self.decided_vector(),
         )
 
     @classmethod
@@ -501,23 +607,22 @@ class Executor:
         *,
         max_steps: int = 200_000,
         stop_when: Callable[["Executor"], bool] | None = None,
-        record_results: bool = True,
     ) -> "Executor":
-        """Rebuild an executor equivalent to the one that produced
-        ``checkpoint``.
+        """Rebuild an exploring executor equivalent to the one that
+        produced ``checkpoint``.
 
-        ``system`` must be a fresh, identical system (same builder and
-        seed as the checkpointed run).  Each generator is fast-forwarded
-        by replaying its recorded results — no shared-memory traffic, no
-        scheduling.  Restored executors are untraced (exploration never
-        traces); the memory clone is copy-on-write, so restoring is
-        cheap until the replayed run first writes.
+        ``system`` must be the checkpointed run's system or a fresh,
+        identical one (same builder and seed).  Each process resumes at
+        its checkpointed trie node, in the checkpointed run's tries, so
+        no automaton code runs and no shared memory is touched.
+        Restored executors are untraced (exploration never traces); the
+        memory clone is copy-on-write, so restoring is cheap until the
+        restored run first writes.
 
         The executor is assembled by hand rather than through
-        ``__init__``: a halted process never runs again, so its
-        generator is not even created, and none of the constructor's
-        fresh-run state (empty memory, initial priming, initial
-        schedulable set) is built only to be thrown away.
+        ``__init__``: none of the constructor's fresh-run state (empty
+        memory, initial schedulable set) is built only to be thrown
+        away.
         """
         ex = cls.__new__(cls)
         ex.system = system
@@ -528,52 +633,19 @@ class Executor:
         ex.trace = Trace(enabled=False)
         ex.time = checkpoint.time
         ex.decisions = dict(checkpoint.decisions)
-        ex.record_results = record_results
-        ex.record_ops = any(
-            op_ref is not None for *_ignored, op_ref, _op_len in checkpoint.slots
-        )
-        ex._slots = {}
-        started_set: set[int] = set()
-        for (
-            pid, started, halted, steps, log_ref, log_len, op_ref, op_len
-        ) in checkpoint.slots:
-            log = log_ref[:log_len]
-            if halted or steps == 0:
-                # Halted processes never run again; never-stepped ones
-                # are rebuilt lazily by :meth:`_materialize` on first
-                # use (non-participants and filtered-out S-processes
-                # never pay for a generator at all).
-                slot = _ProcessSlot(pid, None)
-            elif pid.is_computation:
-                slot = _ProcessSlot(
-                    pid, system.c_factories[pid.index](system.context_for(pid))
-                )
-                if started:
-                    slot.prime()
-                    for result in log:
-                        slot.resume(result)
-            else:
-                slot = _ProcessSlot(
-                    pid, system.s_factories[pid.index](system.context_for(pid))
-                )
-                slot.prime()
-                for result in log:
-                    slot.resume(result)
-            slot.started = started
-            slot.halted = halted
-            slot.steps = steps
-            if record_results:
-                slot.result_log = log
-                if op_ref is not None:
-                    slot.op_log = op_ref[:op_len]
-            if started and pid.is_computation:
-                started_set.add(pid.index)
-            ex._slots[pid] = slot
-        ex._started = started_set
+        ex.record_results = True
+        ex._slots = {
+            fields[0]: _TrieSlot(*fields) for fields in checkpoint.slots
+        }
+        ex._started = {
+            pid.index
+            for pid, slot in ex._slots.items()
+            if slot.started and pid.is_computation
+        }
         ex._started_frozen = None
         ex._decided_frozen = None
         ex._decided_vector = checkpoint.decided_vector
-        ex._undecided = set(system.participants) - set(ex.decisions)
+        ex._undecided = set(system.participants).difference(ex.decisions)
         ex._crash_queue = system.pattern.crash_transitions
         ex._crash_pos = checkpoint.crash_pos
         ex._schedulable = list(checkpoint.schedulable)
@@ -584,8 +656,8 @@ class Executor:
         """Digest of the full execution state, for state deduplication.
 
         Two executors with equal fingerprints have identical futures:
-        the per-process result logs determine every generator's state
-        (automata are deterministic), and memory, decisions, and time
+        each process's history digest determines its automaton's state
+        (see the module docstring), and memory, decisions, and time
         determine everything else.  Requires ``record_results=True``.
         """
         if not self.record_results:
@@ -593,21 +665,25 @@ class Executor:
                 "fingerprint() requires an executor constructed with "
                 "record_results=True"
             )
-        from hashlib import blake2b
-
-        state = (
-            self.time,
-            sorted(
-                (name, repr(value))
-                for name, value in self.memory.snapshot("").items()
-            ),
-            sorted(self.decisions.items()),
-            [
-                (slot.started, slot.halted, repr(slot.result_log))
-                for slot in self._slots.values()
-            ],
+        # Snapshots come in canonical order and the decided vector is
+        # indexed, so neither needs sorting; every slot contributes a
+        # fixed-width record, which keeps the encoding unambiguous.
+        digest = blake2b(
+            repr(
+                (self.time, self.memory.snapshot(""), self.decided_vector())
+            ).encode(),
+            digest_size=16,
         )
-        return blake2b(repr(state).encode(), digest_size=16).digest()
+        digest.update(
+            b"".join(
+                [
+                    _FLAGS[slot.started][slot.halted]
+                    + (_NO_HISTORY if slot.node is None else slot.node.digest)
+                    for slot in self._slots.values()
+                ]
+            )
+        )
+        return digest.digest()
 
     # -- driving -----------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Checkpointed exploration must be a pure performance change: node
 counts, verdicts, and restored executor state are all invariant."""
 
-import pytest
-
-from repro.algorithms.renaming_figure4 import figure4_factories
+from repro.algorithms.renaming_figure4 import (
+    figure4_factories,
+    figure4_factory,
+)
 from repro.checker import (
     ScheduleExplorer,
     drop_null_s_processes,
@@ -67,24 +68,6 @@ class NaiveExplorer:
 
 
 class TestCheckpointInvariance:
-    def test_counts_identical_across_strides(self):
-        task = RenamingTask(3, 2, 3)
-        reports = []
-        for stride in (1, 2, 3, 4, 8, 64):
-            explorer = ScheduleExplorer(
-                renaming_builder,
-                max_depth=10,
-                candidate_filter=drop_null_s_processes,
-                checkpoint_stride=stride,
-            )
-            reports.append(explorer.check(task_safety_verdict(task)))
-        first = reports[0]
-        for report in reports[1:]:
-            assert report.explored == first.explored
-            assert report.completed_runs == first.completed_runs
-            assert report.truncated_runs == first.truncated_runs
-            assert report.violations == first.violations
-
     def test_counts_match_naive_reference(self):
         task = RenamingTask(3, 2, 3)
         explorer = ScheduleExplorer(
@@ -98,11 +81,6 @@ class TestCheckpointInvariance:
         ).run(task_safety_verdict(task))
         assert report.explored == naive.explored
         assert report.completed_runs == naive.completed
-
-    def test_stride_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ScheduleExplorer(renaming_builder, max_depth=4,
-                             checkpoint_stride=0)
 
 
 class TestDedup:
@@ -204,3 +182,41 @@ class TestCheckpointRestore:
         assert restored.decisions == executor.decisions
         assert restored.memory.snapshot("") == executor.memory.snapshot("")
         assert restored.time == executor.time
+
+    def test_restore_runs_no_automaton_code(self):
+        # A restore must reposition every process in its history trie,
+        # not rebuild generators by replaying what they received.
+        resumes = 0
+
+        def counted(ctx):
+            nonlocal resumes
+            inner = figure4_factory(ctx)
+            result = None
+            while True:
+                resumes += 1
+                try:
+                    op = inner.send(result)
+                except StopIteration:
+                    return
+                result = yield op
+
+        system = System(inputs=(1, 2, None), c_factories=[counted] * 3)
+        executor = Executor(
+            system,
+            ExplicitScheduler([], strict=False),
+            max_steps=50,
+            record_results=True,
+        )
+        for pid in (c_process(0), c_process(1)) * 3:
+            executor.step(pid)
+        checkpoint = executor.checkpoint()
+        before = resumes
+        assert before > 0
+        for _ in range(50):
+            restored = Executor.restore(
+                system, ExplicitScheduler([], strict=False), checkpoint,
+                max_steps=50,
+            )
+            for pid in system.all_pids():
+                restored.peek(pid)
+        assert resumes == before

@@ -300,27 +300,6 @@ class TestDifferential:
 
         assert states(por=True) == states()
 
-    @pytest.mark.parametrize("kwargs", REDUCTIONS)
-    def test_stride_invariance(self, kwargs):
-        task, build, gate = CASES["kset-mixed"]
-        counts = {
-            (
-                rep.explored,
-                rep.completed_runs,
-                rep.ok,
-                rep.por_pruned,
-                rep.symmetry_pruned,
-            )
-            for rep in (
-                _explore(
-                    task, build, gate, 10,
-                    checkpoint_stride=stride, **kwargs,
-                )
-                for stride in (1, 3, 100)
-            )
-        }
-        assert len(counts) == 1
-
 
 class TestSymmetry:
     def _symmetric_system(self):
@@ -346,7 +325,7 @@ class TestSymmetry:
 
     def test_prune_interchangeable_keeps_smallest(self):
         system = self._symmetric_system()
-        executor = _executor(system, record_ops=True)
+        executor = _executor(system)
         orbits = c_orbits(system)
         candidates = tuple(
             pid for pid in executor.schedulable() if pid.is_computation
@@ -365,9 +344,7 @@ class TestSymmetry:
         orbits = c_orbits(self._symmetric_system())
 
         def stepped(index):
-            executor = _executor(
-                self._symmetric_system(), record_ops=True
-            )
+            executor = _executor(self._symmetric_system())
             executor.step(c_process(index))
             return executor
 
