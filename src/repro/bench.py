@@ -15,6 +15,7 @@ breaks the comparison history and should be treated like an API break.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from typing import Any, Callable, Mapping
 
@@ -48,7 +49,8 @@ RATE_KEYS = {
 
 #: Compiled-kernel benchmark → its interpreted counterpart in the same
 #: run.  Drives the side-by-side speedup column in :func:`render` and
-#: the in-run speedup gate in :func:`kernel_speedup_problems`.
+#: the in-run speedup gate in :func:`kernel_speedup_problems`.  Each
+#: pair runs :data:`PAIR_REPEATS` times, its two cases alternating.
 KERNEL_PAIRS = {
     "executor_compiled_rw_n8": "executor_rw_n8",
     "executor_compiled_nop_n32": "executor_nop_n32",
@@ -59,30 +61,35 @@ KERNEL_PAIRS = {
     "campaign_compiled_seed_sweep": "campaign_seed_sweep",
 }
 
-#: Minimum same-run speedup of each ``executor_compiled_*`` benchmark
-#: over its interpreted counterpart.  Repeated runs measure medians of
-#: 6.3-8.8x (full and smoke); the gate sits below that so smoke runs on
-#: noisy CI hosts do not flap, while still catching a kernel that
-#: silently degrades to interpreter-like throughput.
-EXECUTOR_KERNEL_SPEEDUP_MIN = 5.0
-
-#: Per-pair minimum same-run speedups for :func:`kernel_speedup_problems`.
-#: The synthetic executor workloads are pure kernel overhead and gate
-#: high.  The paxos-inlined workload does real agreement work per step
-#: (median ~3.2x), and the campaign pairs carry the full shared cost
-#: of schedulers, detectors, and verdicts that both kernels pay
-#: identically: over repeated runs their medians are ~1.45x (full) /
-#: ~1.8x (smoke) on the smoke mix and ~1.8x on the seed sweep, and each
-#: gates at about 0.8x its lower median.
+#: Per-pair minimum speedups for :func:`kernel_speedup_problems`, each
+#: about 0.8x the lower of the pair's two medians (seven full and seven
+#: ``--smoke`` runs on a 2-core shared VM, each run gating on the median
+#: of :data:`PAIR_REPEATS` same-run ratios).  The interpreter's run loop
+#: picks round-robin and seeded-random steps inline and resumes
+#: generators inline, as the compiled engine does, so the pairs measure
+#: what compiled step functions add to that loop: 1.7-4.1x on the
+#: synthetic executor workloads (medians: ``rw_n8`` 2.46x full / 2.50x
+#: smoke, ``nop_n32`` 1.69x / 2.05x, ``crashes`` 2.53x / 2.43x,
+#: ``snapshot`` 4.08x / 3.72x), 1.33x / 1.42x on the paxos-inlined one,
+#: and nothing measurable on campaigns, whose cells spend their time in
+#: costs both kernels share (``campaign_compiled`` 0.95x / 0.99x, the
+#: seed sweep 1.01x / 0.94x).  The floors still catch a compiled engine
+#: that falls well behind the interpreter.
 KERNEL_SPEEDUP_MIN = {
-    "executor_compiled_rw_n8": EXECUTOR_KERNEL_SPEEDUP_MIN,
-    "executor_compiled_nop_n32": EXECUTOR_KERNEL_SPEEDUP_MIN,
-    "executor_compiled_crashes": EXECUTOR_KERNEL_SPEEDUP_MIN,
-    "executor_compiled_snapshot": EXECUTOR_KERNEL_SPEEDUP_MIN,
-    "executor_compiled_paxos_inlined": 3.0,
-    "campaign_compiled": 1.2,
-    "campaign_compiled_seed_sweep": 1.4,
+    "executor_compiled_rw_n8": 1.95,
+    "executor_compiled_nop_n32": 1.35,
+    "executor_compiled_crashes": 1.9,
+    "executor_compiled_snapshot": 2.95,
+    "executor_compiled_paxos_inlined": 1.05,
+    "campaign_compiled": 0.75,
+    "campaign_compiled_seed_sweep": 0.75,
 }
+
+#: Repetitions of each kernel pair.  The gate reads the median of the
+#: same-repetition ratios (``speedup_runs`` in the compiled case's
+#: record), so one case running far off its median on a noisy host
+#: moves one ratio, not the verdict.
+PAIR_REPEATS = 3
 
 #: Maximum tolerated supervised-pool slowdown vs serial in-process
 #: execution of the same cells (fraction of the serial rate).  The
@@ -516,32 +523,68 @@ def fabric_overhead_problems(
     return []
 
 
+def pair_speedup(
+    results: Mapping[str, Mapping[str, Any]], compiled_name: str
+) -> float | None:
+    """A kernel pair's speedup: the median of its repetitions' same-run
+    ratios (``speedup_runs``), or for a record without them the ratio of
+    the two cases' rates; ``None`` when the pair was not run."""
+    metrics = results.get(compiled_name, {})
+    if metrics.get("speedup_runs"):
+        return statistics.median(metrics["speedup_runs"])
+    rate_key = RATE_KEYS[compiled_name]
+    compiled = metrics.get(rate_key)
+    interp = results.get(KERNEL_PAIRS[compiled_name], {}).get(rate_key)
+    if not compiled or not interp:
+        return None
+    return compiled / interp
+
+
 def kernel_speedup_problems(
     results: Mapping[str, Mapping[str, Any]],
     *,
     minimums: Mapping[str, float] = KERNEL_SPEEDUP_MIN,
 ) -> list[str]:
     """Gate each compiled benchmark against its interpreted counterpart
-    from the same run (empty list = every measured pair meets its
-    :data:`KERNEL_SPEEDUP_MIN` entry, or the pair was not run).  Pairs
-    without an entry are reported via :func:`render` but not gated."""
+    from the same run (empty list = every measured pair's
+    :func:`pair_speedup` meets its :data:`KERNEL_SPEEDUP_MIN` entry, or
+    the pair was not run).  Pairs without an entry are reported via
+    :func:`render` but not gated."""
     problems: list[str] = []
     for compiled_name, interp_name in KERNEL_PAIRS.items():
         min_speedup = minimums.get(compiled_name)
         if min_speedup is None:
             continue
-        rate_key = RATE_KEYS[compiled_name]
-        compiled = results.get(compiled_name, {}).get(rate_key)
-        interp = results.get(interp_name, {}).get(rate_key)
-        if not compiled or not interp:
+        speedup = pair_speedup(results, compiled_name)
+        if speedup is None:
             continue
-        speedup = compiled / interp
         if speedup < min_speedup:
             problems.append(
-                f"{compiled_name}: only {speedup:.1f}x over "
+                f"{compiled_name}: only {speedup:.2f}x over "
                 f"{interp_name} (minimum: {min_speedup:g}x)"
             )
     return problems
+
+
+def _run_pair(
+    interp: Callable[[], dict[str, Any]],
+    compiled: Callable[[], dict[str, Any]],
+    rate_key: str,
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Run a kernel pair :data:`PAIR_REPEATS` times, alternating its two
+    cases.  Each case keeps the record of its median-rate run; the
+    compiled record also lists every repetition's ratio."""
+    runs = [(interp(), compiled()) for _ in range(PAIR_REPEATS)]
+
+    def median_run(side: int) -> dict[str, Any]:
+        ordered = sorted((run[side] for run in runs), key=lambda m: m[rate_key])
+        return ordered[len(ordered) // 2]
+
+    compiled_record = dict(median_run(1))
+    compiled_record["speedup_runs"] = [
+        c[rate_key] / i[rate_key] for i, c in runs
+    ]
+    return median_run(0), compiled_record
 
 
 def run_benchmarks(
@@ -632,7 +675,16 @@ def run_benchmarks(
             dispatch_cells, max(2, workers)
         ),
     }
-    return {name: fn() for name, fn in suite.items()}
+    results: dict[str, dict[str, Any]] = {}
+    for name, fn in suite.items():
+        interp_name = KERNEL_PAIRS.get(name)
+        if interp_name is not None:  # the compiled case of a pair
+            results[interp_name], results[name] = _run_pair(
+                suite[interp_name], fn, RATE_KEYS[name]
+            )
+        elif name not in KERNEL_PAIRS.values():
+            results[name] = fn()
+    return {name: results[name] for name in suite}
 
 
 # -- comparison ----------------------------------------------------------
@@ -703,10 +755,10 @@ def render(results: Mapping[str, Mapping[str, Any]]) -> str:
             f"  ({metrics['wall_s']:.2f}s)"
         )
         interp_name = KERNEL_PAIRS.get(name)
-        if interp_name is not None:
-            reference = results.get(interp_name, {}).get(rate_key)
-            current = metrics.get(rate_key)
-            if reference and current:
-                line += f"  [{current / reference:.1f}x vs {interp_name}]"
+        speedup = (
+            None if interp_name is None else pair_speedup(results, name)
+        )
+        if speedup is not None:
+            line += f"  [{speedup:.2f}x vs {interp_name}]"
         lines.append(line)
     return "\n".join(lines)

@@ -33,6 +33,7 @@ from ..core.history import History
 from ..detectors.base import FailureDetector
 from ..errors import SpecificationError
 from ..runtime.scheduler import (
+    Exclusion,
     RoundRobinScheduler,
     Scheduler,
     SchedulerView,
@@ -213,13 +214,6 @@ class PerturbedDetector(FailureDetector):
 # -- scheduler mutators ------------------------------------------------
 
 
-def _narrowed(view: SchedulerView, keep) -> SchedulerView:
-    candidates = tuple(pid for pid in view.candidates if keep(pid))
-    if not candidates:  # never starve the whole system
-        candidates = view.candidates
-    return view._replace(candidates=candidates)
-
-
 class BurstStarvationScheduler(Scheduler):
     """Starves a seeded-random victim subset for ``burst`` out of every
     ``period`` steps, re-drawing the victims each window.
@@ -246,6 +240,7 @@ class BurstStarvationScheduler(Scheduler):
         self._inner = inner or RoundRobinScheduler()
         self._turn = 0
         self._victims: frozenset = frozenset()
+        self._exclude = Exclusion()
 
     def next(self, view: SchedulerView):
         self._require(view)
@@ -256,7 +251,7 @@ class BurstStarvationScheduler(Scheduler):
             size = self._rng.randrange(1, max(2, len(pool)))
             self._victims = frozenset(self._rng.sample(pool, size))
         if phase < self.burst:
-            view = _narrowed(view, lambda pid: pid not in self._victims)
+            view = self._exclude(view, self._victims)
         return self._inner.next(view)
 
 
@@ -280,6 +275,7 @@ class DecidedShadowScheduler(Scheduler):
         self._seen_decided: frozenset = frozenset()
         self._shadowed: frozenset = frozenset()
         self._shadow_left = 0
+        self._exclude = Exclusion()
 
     def next(self, view: SchedulerView):
         self._require(view)
@@ -295,7 +291,7 @@ class DecidedShadowScheduler(Scheduler):
             self._seen_decided = view.decided
         if self._shadow_left > 0:
             self._shadow_left -= 1
-            view = _narrowed(view, lambda pid: pid not in self._shadowed)
+            view = self._exclude(view, self._shadowed)
         return self._inner.next(view)
 
 

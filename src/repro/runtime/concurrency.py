@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from ..core.failures import FailurePattern
 from ..core.process import ProcessId, ProcessKind
 from ..errors import SchedulingError
-from .scheduler import Scheduler, SchedulerView
+from .scheduler import Scheduler, SchedulerView, narrow
 
 CandidateFilter = Callable[[SchedulerView], tuple[ProcessId, ...]]
 
@@ -31,7 +31,7 @@ class FilteredScheduler(Scheduler):
 
     def next(self, view: SchedulerView) -> ProcessId:
         for f in self._filters:
-            view = view._replace(candidates=tuple(f(view)))
+            view = narrow(view, tuple(f(view)))
         if not view.candidates:
             raise SchedulingError("all candidates filtered out")
         return self._inner.next(view)

@@ -22,10 +22,20 @@ generator halts, an S-process when its generator halts or its crash time
 so the executor keeps a sorted candidate list and retires processes from
 it instead of re-deriving and re-sorting the whole set three times per
 step.  ``started_c``/``decided_c`` frozensets are cached and
-invalidated only when they actually change, trace events are only
-allocated when tracing is on, and :meth:`run` drives steps through the
-trusted :meth:`step_trusted` path, skipping the schedulability
-re-validation it performed itself.
+invalidated only when they actually change, and trace events are only
+allocated when tracing is on.
+
+:meth:`run` is one fused loop with its state in locals.  Under exactly
+:class:`RoundRobinScheduler` or :class:`SeededRandomScheduler` it picks
+inline over the sorted candidate list — the same pick, from the same
+cursor or RNG stream, as the scheduler's own ``next()`` (see
+:meth:`run`) — and builds no :class:`SchedulerView`; every other
+scheduler gets a view whose candidates tuple is rebuilt only when the
+list shrinks.  The common operations are performed and the generator
+resumed inline; a C-process's first step, a decision and any unusual
+operation take the step-by-step path (:meth:`_step`, which
+:meth:`step` and the explorer use), so the loop's operation dispatch
+duplicates only :meth:`_step`'s hot branches.
 
 An executor constructed with ``record_results=True`` explores
 (:mod:`repro.checker.explorer`): instead of one generator per process it
@@ -59,7 +69,12 @@ from ..core.system import System, input_register
 from ..errors import ProtocolError, SchedulingError
 from ..memory.registers import RegisterFile
 from . import ops
-from .scheduler import Scheduler, SchedulerView
+from .scheduler import (
+    RoundRobinScheduler,
+    Scheduler,
+    SchedulerView,
+    SeededRandomScheduler,
+)
 from .trace import Trace, TraceEvent
 
 
@@ -401,7 +416,8 @@ class Executor:
         return self._schedulable_tuple
 
     def view(self) -> SchedulerView:
-        # Positional: the interpreter builds one view per step.
+        """What the scheduler sees now (:meth:`run` builds its views
+        inline, from the same fields)."""
         return SchedulerView(
             self.time,
             self.schedulable(),
@@ -448,9 +464,14 @@ class Executor:
 
     def _advance_time(self) -> None:
         self.time += 1
+        self._retire_crashed(self.time)
+
+    def _retire_crashed(self, time: int) -> None:
+        """Retire every S-process whose crash time is at or before
+        ``time``."""
         queue = self._crash_queue
         pos = self._crash_pos
-        while pos < len(queue) and queue[pos][0] <= self.time:
+        while pos < len(queue) and queue[pos][0] <= time:
             self._retire(s_process(queue[pos][1]))
             pos += 1
         self._crash_pos = pos
@@ -469,8 +490,8 @@ class Executor:
     def step_trusted(self, pid: ProcessId) -> None:
         """Trusted-caller step path: the caller guarantees ``pid`` is
         currently schedulable (e.g. it was just taken from
-        :meth:`schedulable`, as :meth:`run` and the exhaustive explorer
-        do), so the membership re-check is skipped."""
+        :meth:`schedulable`, as the exhaustive explorer does), so the
+        membership re-check is skipped."""
         self._step(pid, self._slots[pid])
 
     def _step(self, pid: ProcessId, slot: _ProcessSlot) -> None:
@@ -692,24 +713,150 @@ class Executor:
         predicate fires, the budget is exhausted, nothing remains
         schedulable (``"halted"``), or the scheduler itself gives up
         while candidates remain (``"schedule_exhausted"``, e.g. a strict
-        explicit schedule running out of entries)."""
+        explicit schedule running out of entries).
+
+        Each step is the step :meth:`step` would take with the
+        scheduler's own pick, and a ``stop_when`` predicate sees the
+        same executor state.  Under exactly :class:`RoundRobinScheduler`
+        the pick is ``schedulable[cursor % n]``: its ``next()`` indexes
+        ``sorted(candidates)`` the same way, and the maintained list is
+        already sorted.  Under exactly :class:`SeededRandomScheduler`
+        it draws ``getrandbits(n.bit_length())`` until the draw lands
+        below ``n``: ``random.Random.choice`` picks
+        ``seq[_randbelow(len(seq))]`` with exactly those draws, so the
+        inline pick consumes the identical RNG stream.  The cursor is
+        written back when the loop ends; subclasses of either scheduler
+        get views, like every other scheduler.
+        """
+        slots = self._slots
+        schedulable = self._schedulable
+        undecided = self._undecided
+        memory = self.memory
+        read = memory.read
+        write = memory.write
+        snapshot = memory.snapshot
+        compare_and_swap = memory.compare_and_swap
+        fd_value = self.system.history.value
+        participants = self.system.participants
+        events = self.trace.events if self.trace.enabled else None
+        stop_when = self.stop_when
+        # History-trie slots resume through their trie: every step of an
+        # exploring executor takes the step-by-step path.
+        exploring = self.record_results
+        max_steps = self.max_steps
+        queue = self._crash_queue
+        scheduler = self.scheduler
+        kind = type(scheduler)
+        round_robin = kind is RoundRobinScheduler
+        cursor = scheduler._cursor if round_robin else 0
+        getrandbits = (
+            scheduler._rng.getrandbits if kind is SeededRandomScheduler else None
+        )
+        pick = scheduler.next
+        Read, Write, Snapshot = ops.Read, ops.Write, ops.Snapshot
+        Nop, QueryFD, CompareAndSwap = ops.Nop, ops.QueryFD, ops.CompareAndSwap
+        # What the loop reads of the executor's own state, re-read at
+        # ``resync_at``: the next crash time, or at once after a step that
+        # may have retired a process or started or decided one.
+        live: list[_ProcessSlot] = []  # the slots of ``schedulable``
+        n = k = 0
+        cands = started_c = decided_c = None
+        resync_at = 0
         reason = "budget"
-        while self.time < self.max_steps:
-            if not self._undecided:
-                reason = "all_decided"
-                break
-            if self.stop_when is not None and self.stop_when(self):
-                reason = "predicate"
-                break
-            if not self._schedulable:
-                reason = "halted"
-                break
-            try:
-                pid = self.scheduler.next(self.view())
-            except SchedulingError:
-                reason = "schedule_exhausted"
-                break
-            self.step_trusted(pid)
+        time = self.time
+        try:
+            while time < max_steps:
+                if time >= resync_at:
+                    self._retire_crashed(time)
+                    resync_at = (
+                        queue[self._crash_pos][0]
+                        if self._crash_pos < len(queue)
+                        else max_steps
+                    )
+                    live = [slots[pid] for pid in schedulable]
+                    n = len(live)
+                    k = n.bit_length()
+                    # Cached: the same objects until they change, which
+                    # keeps the schedulers' identity caches warm.
+                    cands = self.schedulable()
+                    started_c = self.started_c
+                    decided_c = self.decided_c
+                if not undecided:
+                    reason = "all_decided"
+                    break
+                if stop_when is not None:
+                    self.time = time
+                    if stop_when(self):
+                        reason = "predicate"
+                        break
+                if not n:
+                    reason = "halted"
+                    break
+                if round_robin:
+                    slot = live[cursor % n]
+                    pid = slot.pid
+                    cursor += 1
+                elif getrandbits is not None:
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    slot = live[r]
+                    pid = slot.pid
+                else:
+                    try:
+                        pid = pick(
+                            SchedulerView(
+                                time, cands, started_c, decided_c, participants
+                            )
+                        )
+                    except SchedulingError:
+                        reason = "schedule_exhausted"
+                        break
+                    slot = slots[pid]
+                op = slot.pending
+                op_type = None if exploring else type(op)
+                # _step's exact-type dispatch, minus its cold branches;
+                # reads first, the most frequent operation in campaigns.
+                if op_type is Read:
+                    result = read(op.register)
+                elif op_type is Write:
+                    write(op.register, op.value)
+                    result = None
+                elif op_type is Snapshot:
+                    result = snapshot(op.prefix)
+                elif op_type is Nop:
+                    result = None
+                elif op_type is QueryFD:
+                    if pid.is_computation:
+                        raise ProtocolError(
+                            "C-processes cannot query the detector"
+                        )
+                    result = fd_value(pid.index, time)
+                elif op_type is CompareAndSwap:
+                    result = compare_and_swap(op.register, op.expected, op.new)
+                else:
+                    # A C-process's first step, a decision, an unusual
+                    # operation, or a history-trie slot.
+                    self.time = time
+                    self._step(pid, slot)
+                    time = resync_at = self.time
+                    continue
+                if events is not None:
+                    events.append(TraceEvent(time, pid, op, result))
+                try:
+                    slot.pending = slot.generator.send(result)
+                except StopIteration:
+                    slot.halted = True
+                    slot.pending = None
+                    self._retire(pid)
+                    resync_at = 0
+                slot.steps += 1
+                time += 1
+        finally:
+            self.time = time
+            self._retire_crashed(time)
+            if round_robin:
+                scheduler._cursor = cursor
         return self.result(reason)
 
     def _budget_digest(self) -> str:
@@ -755,10 +902,6 @@ class Executor:
             trace=self.trace if self.trace.enabled else None,
             extras=extras,
         )
-
-    def _result(self, reason: str) -> RunResult:
-        """Deprecated alias of :meth:`result` (kept for old callers)."""
-        return self.result(reason)
 
 
 def execute(

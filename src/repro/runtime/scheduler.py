@@ -24,8 +24,10 @@ from ..errors import SchedulingError
 class SchedulerView(NamedTuple):
     """What a scheduler may observe when choosing the next step.
 
-    Immutable, and cheap to build: the interpreter makes one per step.
-    Wrappers narrow a view with ``view._replace(candidates=...)``.
+    Immutable, and cheap to build: the interpreter's run loop makes one
+    per step for every scheduler it does not pick for inline (see
+    :meth:`repro.runtime.executor.Executor.run`).  Wrappers narrow a
+    view with :func:`narrow` or an :class:`Exclusion`.
 
     Attributes:
         time: current global time (equals the step index; the paper's
@@ -43,6 +45,52 @@ class SchedulerView(NamedTuple):
     started: frozenset[int]
     decided: frozenset[int]
     participants: frozenset[int]
+
+
+def narrow(
+    view: SchedulerView, candidates: tuple[ProcessId, ...]
+) -> SchedulerView:
+    """``view`` with its candidates replaced by ``candidates``, built
+    positionally (``NamedTuple._replace`` goes through keyword
+    arguments and a ``map`` over the field names)."""
+    return SchedulerView(
+        view.time, candidates, view.started, view.decided, view.participants
+    )
+
+
+class Exclusion:
+    """Narrows views by dropping a set of excluded processes, but keeps a
+    view whole when that would leave no candidate: a wrapper never
+    starves the whole system.
+
+    The narrowed candidates are memoized on the identity of the
+    (candidates tuple, excluded frozenset) pair.  While the run's
+    candidates and the wrapper's excluded set stay the same objects —
+    within one starvation window, until a process leaves the candidate
+    list — every call hands the inner scheduler the same tuple, so a
+    :class:`RoundRobinScheduler`'s identity sort cache hits.  Holding
+    both keys keeps their ``id()`` from being recycled.
+    """
+
+    __slots__ = ("_candidates", "_excluded", "_kept")
+
+    def __init__(self) -> None:
+        self._candidates: tuple[ProcessId, ...] | None = None
+        self._excluded: frozenset[ProcessId] | None = None
+        self._kept: tuple[ProcessId, ...] = ()
+
+    def __call__(
+        self, view: SchedulerView, excluded: frozenset[ProcessId]
+    ) -> SchedulerView:
+        candidates = view.candidates
+        if candidates is not self._candidates or excluded is not self._excluded:
+            self._candidates = candidates
+            self._excluded = excluded
+            self._kept = (
+                tuple(pid for pid in candidates if pid not in excluded)
+                or candidates
+            )
+        return narrow(view, self._kept)
 
 
 class Scheduler(ABC):
@@ -131,7 +179,7 @@ class AdversarialScheduler(Scheduler):
             choice = victims[self._victim_cursor % len(victims)]
             self._victim_cursor += 1
             return choice
-        return self._fallback.next(view._replace(candidates=others))
+        return self._fallback.next(narrow(view, others))
 
 
 class ExplicitScheduler(Scheduler):

@@ -1,6 +1,7 @@
 """Costs a campaign must not pay: a supervisor that polls while its
-workers compute, and a cell that loads the analyzer to run an
-algorithm.  Both are counted (waits, loaded modules), never timed."""
+workers compute, and an interpreted cell that loads the analyzer or
+the compiled kernel to run an algorithm.  Both are counted (waits,
+loaded modules), never timed."""
 
 import os
 import subprocess
@@ -36,7 +37,8 @@ def test_driver_blocks_while_every_worker_is_busy(monkeypatch):
 
 #: One storm-shaped cell (crash storm, mutated scheduler, interpreted)
 #: through the campaign job function, in a fresh interpreter; prints
-#: the cell's outcome and every analyzer module it left loaded.
+#: the cell's outcome and every analyzer or kernel module it left
+#: loaded.
 CELL_PROBE = textwrap.dedent(
     """
     import sys
@@ -59,12 +61,12 @@ CELL_PROBE = textwrap.dedent(
     )
     record = _run_cell_guarded((next(iter(spec.cells())), False, "interp"))
     assert "repro.algorithms" in sys.modules
-    analyzer = sorted(
+    unneeded = sorted(
         name
         for name in sys.modules
-        if name.startswith(("repro.lint", "repro.checker"))
+        if name.startswith(("repro.lint", "repro.checker", "repro.kernel"))
     )
-    print(record.outcome, *analyzer)
+    print(record.outcome, *unneeded)
     """
 )
 

@@ -1,5 +1,6 @@
 """Unit tests for the bench comparison helpers: the ``--compare``
-delta table and the per-pair kernel speedup gate.
+delta table, the per-pair kernel speedup gate, and the repeated pair
+runner it reads.
 
 These exercise only the pure functions over results dictionaries; the
 timed workloads themselves are covered by running the suite (CI smoke
@@ -9,9 +10,13 @@ mode) and are deliberately not re-run here.
 from repro.bench import (
     KERNEL_PAIRS,
     KERNEL_SPEEDUP_MIN,
+    PAIR_REPEATS,
     RATE_KEYS,
+    _run_pair,
     compare_runs,
     kernel_speedup_problems,
+    pair_speedup,
+    render,
 )
 
 
@@ -58,38 +63,44 @@ class TestCompareRuns:
 
 
 class TestKernelSpeedupGate:
+    # Probes sit just around the floors, which are about 0.8x the lower
+    # of each pair's full and smoke medians.
+
     def test_pair_below_minimum_is_a_problem(self):
         results = {
-            "executor_compiled_rw_n8": {"steps_per_s": 100.0},
-            "executor_rw_n8": {"steps_per_s": 50.0},
+            "executor_compiled_rw_n8": {"steps_per_s": 190.0},
+            "executor_rw_n8": {"steps_per_s": 100.0},
         }
         problems = kernel_speedup_problems(results)
         assert len(problems) == 1
         assert "executor_compiled_rw_n8" in problems[0]
-        assert "2.0x" in problems[0]
+        assert "1.90x" in problems[0]
+        assert "minimum: 1.95x" in problems[0]
 
     def test_pair_meeting_minimum_passes(self):
         results = {
-            "campaign_compiled": {"cells_per_s": 30.0},
+            "campaign_compiled": {"cells_per_s": 8.0},
             "campaign_smoke": {"cells_per_s": 10.0},
         }
         assert kernel_speedup_problems(results) == []
 
     def test_campaign_pair_gates_at_its_own_threshold(self):
-        # 1.3x clears the smoke-mix pair's 1.2x minimum but must still
-        # trip the seed-sweep pair's dedicated 1.4x minimum.
+        # 0.8x clears the campaign pairs' 0.75x floor but must still
+        # trip the paxos-inlined executor pair's 1.05x floor.
         results = {
-            "campaign_compiled_seed_sweep": {"cells_per_s": 13.0},
+            "campaign_compiled_seed_sweep": {"cells_per_s": 8.0},
             "campaign_seed_sweep": {"cells_per_s": 10.0},
+            "executor_compiled_paxos_inlined": {"steps_per_s": 80.0},
+            "executor_paxos_inlined": {"steps_per_s": 100.0},
         }
         problems = kernel_speedup_problems(results)
         assert len(problems) == 1
-        assert "campaign_compiled_seed_sweep" in problems[0]
+        assert "executor_compiled_paxos_inlined" in problems[0]
 
     def test_pair_without_minimum_entry_is_not_gated(self):
         results = {
-            "executor_compiled_rw_n8": {"steps_per_s": 100.0},
-            "executor_rw_n8": {"steps_per_s": 50.0},
+            "executor_compiled_rw_n8": {"steps_per_s": 190.0},
+            "executor_rw_n8": {"steps_per_s": 100.0},
         }
         assert kernel_speedup_problems(results, minimums={}) == []
 
@@ -100,3 +111,44 @@ class TestKernelSpeedupGate:
         for compiled_name in KERNEL_SPEEDUP_MIN:
             assert compiled_name in KERNEL_PAIRS
             assert compiled_name in RATE_KEYS
+
+    def test_gate_reads_the_median_repetition(self):
+        # One repetition far below the floor, and recorded rates whose
+        # ratio is below it too: the median repetition decides.
+        results = {
+            "executor_compiled_rw_n8": {
+                "steps_per_s": 150.0,
+                "speedup_runs": [1.0, 2.2, 2.4],
+            },
+            "executor_rw_n8": {"steps_per_s": 100.0},
+        }
+        assert pair_speedup(results, "executor_compiled_rw_n8") == 2.2
+        assert kernel_speedup_problems(results) == []
+        assert "[2.20x vs executor_rw_n8]" in render(
+            {name: {**m, "wall_s": 1.0} for name, m in results.items()}
+        )
+        results["executor_compiled_rw_n8"]["speedup_runs"] = [1.0, 1.5, 2.4]
+        problems = kernel_speedup_problems(results)
+        assert len(problems) == 1
+        assert "1.50x" in problems[0]
+
+
+class TestRunPair:
+    def test_sides_alternate_and_records_are_the_median_runs(self):
+        calls = []
+        interp_rates = iter([30.0, 10.0, 20.0])
+        compiled_rates = iter([60.0, 40.0, 30.0])
+
+        def interp():
+            calls.append("interp")
+            return {"rate": next(interp_rates)}
+
+        def compiled():
+            calls.append("compiled")
+            return {"rate": next(compiled_rates)}
+
+        interp_record, compiled_record = _run_pair(interp, compiled, "rate")
+        assert calls == ["interp", "compiled"] * PAIR_REPEATS
+        assert interp_record == {"rate": 20.0}
+        assert compiled_record["rate"] == 40.0
+        assert compiled_record["speedup_runs"] == [2.0, 4.0, 1.5]
