@@ -99,11 +99,11 @@ def test_tracing_overhead(benchmark, traced):
     benchmark(run)
 
 
-def test_checkpoint_restore_roundtrip(benchmark):
+def test_step_undo_roundtrip(benchmark):
     """Covers the exploration fast path: drive an exploring executor
-    mid-run (building each process's history trie), then checkpoint it
-    (trie-node references + COW memory) and restore it the way the
-    explorer restores a node's siblings, many times over."""
+    mid-run (building each process's history trie), then backtrack the
+    way the explorer does — undo every step and step the same path
+    again over known trie edges — many times over."""
 
     def run():
         system = System(inputs=(1,) * 4, c_factories=[reader_writer] * 4)
@@ -113,14 +113,18 @@ def test_checkpoint_restore_roundtrip(benchmark):
             max_steps=200,
             record_results=True,
         )
+        path = []
         for _ in range(100):
-            executor.step_trusted(executor.schedulable()[0])
-        checkpoint = executor.checkpoint()
-        for _ in range(100):
-            restored = Executor.restore(
-                system, RoundRobinScheduler(), checkpoint, max_steps=200
-            )
-        assert restored.time == executor.time
-        return restored
+            pid = executor.schedulable()[0]
+            executor.step_trusted(pid)
+            path.append(pid)
+        fingerprint = executor.fingerprint()
+        for _ in range(20):
+            for _ in path:
+                executor.undo()
+            for pid in path:
+                executor.step_trusted(pid)
+        assert executor.fingerprint() == fingerprint
+        return executor
 
     benchmark(run)

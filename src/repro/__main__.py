@@ -148,6 +148,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``check`` exit code for an exploration stopped by ``--max-runs``
+#: without a violation: it certifies nothing (0 = certified, 1 =
+#: violations, 75 = interrupted and resumable).
+EXIT_CHECK_CAPPED = 3
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     import time
 
@@ -235,6 +241,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 + f" --resume {report.checkpoint_path}"
             )
         return EXIT_RESUMABLE
+    if report.capped:
+        print(
+            f"capped     : stopped at --max-runs {args.max_runs} with "
+            "schedules left unexplored"
+        )
+    if report.ok and report.capped:
+        print("verdict    : CAPPED — no violation found, nothing certified")
+        return EXIT_CHECK_CAPPED
     if report.ok:
         print("verdict    : OK — no interleaving leaves the task relation")
         return 0
@@ -677,7 +691,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-runs",
         type=int,
         default=200_000,
-        help="hard cap on completed+truncated runs (default 200000)",
+        help="hard cap on completed+truncated runs (default 200000); "
+        "an exploration stopped by it certifies nothing and exits 3",
     )
     p.add_argument(
         "--dedup",

@@ -108,7 +108,8 @@ def verify_run(
     a partial "ok"; when ``checkpoint_path`` is given the frontier is
     saved there first and the exception carries the path, so a later
     call with ``resume_from`` finishes the certificate without
-    re-exploring.
+    re-exploring.  Hitting ``max_runs`` raises it too, without a
+    frontier: rerun with a larger cap.
     """
     from .analysis.verify import verify_run as _verify
 
@@ -148,6 +149,12 @@ def verify_run(
                 f"exhaustive verification stopped after "
                 f"{report.explored} nodes{where}",
                 checkpoint_path=report.checkpoint_path,
+            )
+        if report.capped:
+            raise ExplorationInterrupted(
+                f"exhaustive verification stopped at max_runs={max_runs} "
+                f"after {report.explored} nodes; a certificate needs every "
+                "run (raise max_runs)"
             )
         if not report.ok:
             schedule, _ = report.violations[0]

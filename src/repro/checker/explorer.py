@@ -6,14 +6,16 @@ safety, k-concurrency bounds) into machine-checked facts rather than
 sampled evidence.  The classifier and several integration tests use
 this to certify the upper-bound algorithms on small instances.
 
-Exploration is a DFS over the executor's ``schedulable()`` sets.  Every
-expanded node checkpoints its executor — per-process history-trie nodes
-plus a copy-on-write register snapshot, see
-:meth:`~repro.runtime.executor.Executor.checkpoint` — and each child on
-the frontier carries that checkpoint.  Visiting a node costs one
-O(#processes) restore of its parent plus one step (the first child
-skips the restore: it steps the executor its parent left behind), and
-no automaton code is re-run to backtrack.
+Exploration is a DFS over the executor's ``schedulable()`` sets, and
+one exploring executor walks the whole of it.  Frontier entries are
+``(schedule, sleep set)`` pairs.  DFS order guarantees that the entry
+popped next was pushed by a node on the executor's current path, so
+visiting it means undoing back to that parent — O(1) per step, see
+:meth:`~repro.runtime.executor.Executor.undo` — and taking one step;
+no automaton code is re-run to backtrack.  The executor handed to the
+verdict and the candidate filter therefore moves on as soon as they
+return, and a violation's :class:`~repro.core.run.RunResult` is built
+by replaying its schedule on a fresh executor.
 
 Optional state-fingerprint deduplication (``dedup=True``) prunes
 interleavings that reach an execution state already explored at the
@@ -62,7 +64,7 @@ stack (not Python recursion), so :meth:`ScheduleExplorer.check` can
 stop at a wall-clock ``deadline_s`` or on SIGINT/SIGTERM, serialize the
 frontier — pending ``(schedule, sleep set)`` nodes, the report
 counters, and the dedup ``seen`` map — to an atomic checkpoint file,
-and a later ``resume_from`` run replays each saved node's schedule
+and a later ``resume_from`` run replays the first saved node's schedule
 from a fresh executor and continues *exactly*: the final report of an
 interrupted-and-resumed exploration is equal, counter for counter, to
 an uninterrupted one, because nodes are expanded in the identical
@@ -84,13 +86,13 @@ from ..core.process import ProcessId
 from ..core.system import System
 from ..errors import ResilienceError
 from ..resilience import atomic_write_bytes
-from ..runtime.executor import Executor, ExecutorCheckpoint
+from ..runtime.executor import Executor
 from ..runtime.scheduler import ExplicitScheduler
 from .independence import StepFootprint, commutes, step_footprint
 from .symmetry import c_orbits, canonical_fingerprint, prune_interchangeable
 
 EXPLORER_CHECKPOINT_FORMAT = "repro-explorer-checkpoint"
-EXPLORER_CHECKPOINT_VERSION = 2
+EXPLORER_CHECKPOINT_VERSION = 3
 
 #: Explorer knobs that must match between a checkpoint and the
 #: explorer resuming from it.
@@ -104,7 +106,10 @@ class ExplorationReport:
     ``interrupted`` marks a run that stopped at its deadline or on a
     signal rather than exhausting the frontier; when a checkpoint was
     requested, ``checkpoint_path`` names the file a ``resume_from`` run
-    continues from.
+    continues from.  ``capped`` marks a run that stopped at
+    ``max_runs`` with nodes left to explore.  ``ok`` only says that no
+    violation was found: a capped or interrupted report certifies
+    nothing about the schedules it did not reach.
     """
 
     explored: int = 0
@@ -118,6 +123,7 @@ class ExplorationReport:
     )
     interrupted: bool = False
     checkpoint_path: str | None = None
+    capped: bool = False
 
     @property
     def ok(self) -> bool:
@@ -135,7 +141,8 @@ class ScheduleExplorer:
             (e.g. drop null-stepping S-processes, or impose the
             k-concurrency gate); receives the executor and the candidate
             tuple, returns the candidates to branch on.
-        max_runs: hard cap on completed+truncated runs (safety valve).
+        max_runs: hard cap on completed+truncated runs (safety valve);
+            a run that hits it reports ``capped``.
         dedup: prune states whose fingerprint was already explored
             (opt-in; changes node counts, never the verdict).
         por: sleep-set partial-order reduction — prune sibling orders
@@ -172,10 +179,8 @@ class ScheduleExplorer:
         self._interrupt = False
         #: schedule of the node currently being visited.
         self.current_schedule: tuple[ProcessId, ...] = ()
-        #: the executor of the node expanded last, and that node's
-        #: checkpoint while the executor still holds its state.
-        self._current: Executor | None = None
-        self._current_at: ExecutorCheckpoint | None = None
+        #: the one executor a :meth:`check` walks the tree with
+        self._executor: Executor | None = None
         self._system: System | None = None
         # Exploring executors are driven via step_trusted and never
         # consult their scheduler, so a single inert one serves them all.
@@ -192,37 +197,36 @@ class ScheduleExplorer:
             self._system = self.system_builder()
         return self._system
 
-    def _executor_for(
-        self,
-        schedule: tuple[ProcessId, ...],
-        parent: ExecutorCheckpoint | None,
-    ) -> Executor:
-        """The executor at ``schedule``: one step from ``parent``, the
-        checkpoint of the node that pushed it, or (for the root and for
-        nodes resumed from a frontier file) a replay from scratch."""
-        if parent is None:
-            executor = Executor(
-                self._shared_system(),
-                self._scheduler,
-                max_steps=self.max_depth + 1,
-                record_results=True,
-            )
-            for pid in schedule:
-                executor.step_trusted(pid)
-        else:
-            if parent is self._current_at:
-                executor = self._current
-            else:
-                executor = Executor.restore(
-                    self._shared_system(),
-                    self._scheduler,
-                    parent,
-                    max_steps=self.max_depth + 1,
-                )
-            executor.step_trusted(schedule[-1])
-        self._current_at = None
+    def _fresh_executor(self) -> Executor:
+        return Executor(
+            self._shared_system(),
+            self._scheduler,
+            max_steps=self.max_depth + 1,
+            record_results=True,
+        )
+
+    def _executor_at(self, schedule: tuple[ProcessId, ...]) -> Executor:
+        """The shared executor moved to ``schedule``.  Its current path
+        ends at the node visited last, and ``schedule``'s parent lies on
+        that path (DFS order), so undoing back to the parent and taking
+        the last step gets there; right after a resume the path is
+        empty, and the whole schedule is replayed instead."""
+        executor = self._executor
+        undo = executor.undo
+        for _ in range(executor.time - max(len(schedule) - 1, 0)):
+            undo()
+        for pid in schedule[executor.time:]:
+            executor.step_trusted(pid)
         self.current_schedule = schedule
         return executor
+
+    def _violation(self, schedule: tuple[ProcessId, ...]):
+        """The result of a violating run, on an executor of its own:
+        the shared one moves on (violations are rare)."""
+        executor = self._fresh_executor()
+        for pid in schedule:
+            executor.step_trusted(pid)
+        return executor.result("violation")
 
     def _branches(
         self, executor: Executor, report: "ExplorationReport"
@@ -254,15 +258,12 @@ class ScheduleExplorer:
         stack: list,
         seen: dict | None,
     ) -> None:
-        # Stack entries carry their parent's executor checkpoint, which
-        # holds live trie nodes: strip it, and let a resumed node replay
-        # its schedule instead.
         payload = {
             "format": EXPLORER_CHECKPOINT_FORMAT,
             "version": EXPLORER_CHECKPOINT_VERSION,
             "knobs": self._knobs(),
             "report": report,
-            "frontier": [(schedule, sleep) for schedule, sleep, _ in stack],
+            "frontier": stack,
             "seen": seen,
         }
         atomic_write_bytes(path, pickle.dumps(payload, protocol=4))
@@ -291,11 +292,7 @@ class ScheduleExplorer:
                 f"knobs {payload['knobs']} (this explorer: "
                 f"{self._knobs()})"
             )
-        stack = [
-            (schedule, sleep, None)
-            for schedule, sleep in payload["frontier"]
-        ]
-        return payload["report"], stack, payload["seen"]
+        return payload["report"], payload["frontier"], payload["seen"]
 
     def check(
         self,
@@ -311,6 +308,10 @@ class ScheduleExplorer:
         pruned), or ``None`` (finished successfully — e.g. everyone
         decided; branch ends).
 
+        One executor walks the whole tree, so the executor handed to
+        ``verdict`` (and to the candidate filter) is valid only during
+        the call: read what it needs, keep nothing.
+
         ``deadline_s`` bounds wall-clock time; at expiry (or after
         :meth:`request_interrupt`, or SIGINT/SIGTERM when
         ``handle_signals`` is true) the exploration stops, writes its
@@ -325,16 +326,15 @@ class ScheduleExplorer:
         seen: dict[bytes, list[frozenset]] | None = (
             {} if self.dedup else None
         )
-        #: frontier entries: (schedule, sleep set, parent checkpoint)
-        stack: list = [((), frozenset(), None)]
+        #: frontier entries: (schedule, sleep set)
+        stack: list = [((), frozenset())]
         if resume_from is not None:
             report, stack, seen = self._load_checkpoint(resume_from)
             report.interrupted = False
             report.checkpoint_path = None
         self.current_schedule = ()
-        self._current = None
-        self._current_at = None
         self._system = None
+        self._executor = self._fresh_executor()
         self._interrupt = False
         self._orbits = (
             c_orbits(self._shared_system()) if self.symmetry else ()
@@ -428,9 +428,10 @@ class ScheduleExplorer:
                 report.completed_runs + report.truncated_runs
                 >= self.max_runs
             ):
+                report.capped = True
                 return
-            schedule, sleep, parent = stack.pop()
-            executor = self._executor_for(schedule, parent)
+            schedule, sleep = stack.pop()
+            executor = self._executor_at(schedule)
             if seen is not None:
                 if self._seen_covers(
                     seen, self._fingerprint(executor), sleep
@@ -440,9 +441,7 @@ class ScheduleExplorer:
             report.explored += 1
             outcome = verdict(executor)
             if outcome is False:
-                report.violations.append(
-                    (schedule, executor.result("violation"))
-                )
+                report.violations.append((schedule, self._violation(schedule)))
                 continue
             if outcome is None:
                 report.completed_runs += 1
@@ -454,14 +453,10 @@ class ScheduleExplorer:
             if not branches:
                 report.completed_runs += 1
                 continue
-            checkpoint = executor.checkpoint()
-            self._current = executor
-            self._current_at = checkpoint
             children: list = []
             if self.por and not executor.crashes_pending():
                 # Footprints must be taken *now*, while the executor
-                # still holds this node's state: the first child steps
-                # it on.
+                # still holds this node's state: the next pop moves it.
                 footprints: dict[ProcessId, StepFootprint] = {
                     pid: step_footprint(executor, pid)
                     for pid in {*branches, *sleep}
@@ -477,17 +472,13 @@ class ScheduleExplorer:
                         for t in sleep.union(taken)
                         if commutes(footprints[t], pid_fp)
                     )
-                    children.append(
-                        (schedule + (pid,), child_sleep, checkpoint)
-                    )
+                    children.append((schedule + (pid,), child_sleep))
                     taken.append(pid)
             else:
                 # No POR here (disabled, or crash transitions pending —
                 # everything is dependent, so all sleepers wake).
                 for pid in branches:
-                    children.append(
-                        (schedule + (pid,), frozenset(), checkpoint)
-                    )
+                    children.append((schedule + (pid,), frozenset()))
             stack.extend(reversed(children))
 
 

@@ -67,9 +67,10 @@ def op_footprint(
     return ops.footprint(op)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepFootprint:
-    """Register footprint of one process's pending step."""
+    """Register footprint of one process's pending step (exploring
+    executors keep one per history-trie node, hence the slots)."""
 
     pid: ProcessId
     reads: tuple[str, ...]
@@ -80,12 +81,26 @@ class StepFootprint:
 
 
 def step_footprint(executor: Executor, pid: ProcessId) -> StepFootprint:
-    """Footprint of the step ``pid`` would take next in ``executor``."""
-    op = executor.peek(pid)
-    if (
-        pid.is_computation
-        and pid.index not in executor.started_c  # first step
-    ) or op is None:
+    """Footprint of the step ``pid`` would take next in ``executor``.
+
+    A started process's footprint depends only on its pending operation,
+    so an exploring executor's is computed once per history-trie node
+    and cached there."""
+    node = executor.history_node(pid)
+    if node is None:
+        return _footprint(
+            pid,
+            executor.peek(pid),
+            pid.is_computation and pid.index not in executor.started_c,
+        )
+    footprint = node.footprint
+    if footprint is None:
+        footprint = node.footprint = _footprint(pid, node.pending, False)
+    return footprint
+
+
+def _footprint(pid: ProcessId, op, first_step: bool) -> StepFootprint:
+    if first_step or op is None:
         return StepFootprint(pid, (), (), (), universal=True)
     prints = op_footprint(op)
     if prints is None or isinstance(op, ops.Decide):

@@ -27,11 +27,13 @@ Two reductions exploit this:
   orbit's per-member state bundles as a *sorted multiset* rather than
   in index order and (b) folding the members' ``inp/<i>`` registers —
   the only registers whose names the executor itself derives from a
-  process index — into those bundles.  All other memory is compared
-  literally, so two states only collapse when the permutation matching
-  their bundles maps each member onto one with an identical history
-  digest and decision — exactly the condition under which the states
-  are literal images of each other under the permutation.
+  process index — into those bundles: their terms are subtracted from
+  the executor's additive memory digest, and each bundle carries its
+  member's input.  All other memory is compared literally, so two
+  states only collapse when the permutation matching their bundles
+  maps each member onto one with an identical history digest and
+  decision — exactly the condition under which the states are literal
+  images of each other under the permutation.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Any
 
 from ..core.process import c_process
 from ..core.system import System, input_register
+from ..memory.registers import DIGEST_MASK
 from ..runtime.executor import Executor
 
 __all__ = ["c_orbits", "prune_interchangeable", "canonical_fingerprint"]
@@ -116,7 +119,10 @@ def canonical_fingerprint(
     for orbit_no, orbit in enumerate(orbits):
         for index in orbit:
             member_of[index] = orbit_no
-    inp_names = {input_register(i) for i in member_of}
+    memory = executor.memory
+    folded = memory.digest - sum(
+        memory.term(input_register(i)) for i in member_of
+    )
     fixed_slots: list[tuple] = []
     orbit_bundles: list[list[tuple]] = [[] for _ in orbits]
     for pid in executor.system.all_pids():
@@ -128,15 +134,11 @@ def canonical_fingerprint(
         else:
             started, halted, _steps, digest = executor.slot_view(pid)
             fixed_slots.append((started, halted, digest))
-    # The snapshot is in canonical order and the decided vector is
-    # indexed, so neither needs sorting.
+    # The memory digest is a sum and the decided vector is indexed, so
+    # neither needs sorting.
     state: Any = (
         executor.time,
-        [
-            item
-            for item in executor.memory.snapshot("").items()
-            if item[0] not in inp_names
-        ],
+        folded & DIGEST_MASK,
         [
             item
             for item in enumerate(executor.decided_vector())

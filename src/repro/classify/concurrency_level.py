@@ -125,7 +125,8 @@ def explore_k_concurrent(
     (``deadline_s`` / ``checkpoint_path`` / ``resume_from`` /
     ``handle_signals``) for deep explorations that must survive
     wall-clock budgets and signals.  Returns the full exploration
-    report (check ``interrupted`` before trusting ``ok``)."""
+    report (check ``interrupted`` and ``capped`` before trusting
+    ``ok``)."""
 
     def build() -> System:
         return System(inputs=inputs, c_factories=list(factories))
@@ -165,10 +166,13 @@ def certify_k_concurrent_exhaustively(
     """Exhaustive certificate on one small instance: every k-concurrent
     interleaving up to ``max_depth`` stays within the task relation.
     Extra keyword knobs are forwarded to :func:`explore_k_concurrent`
-    (e.g. ``por=True`` to certify with partial-order reduction)."""
-    return explore_k_concurrent(
+    (e.g. ``por=True`` to certify with partial-order reduction).  An
+    exploration stopped by ``max_runs`` or a deadline certifies nothing,
+    so it returns false."""
+    report = explore_k_concurrent(
         task, factories, k, inputs, max_depth=max_depth, **explorer_knobs
-    ).ok
+    )
+    return report.ok and not (report.capped or report.interrupted)
 
 
 def classify_task(

@@ -29,13 +29,17 @@ write the prefix covers: snapshot-heavy loops over a quiescent family
 (the common pattern in the paper's algorithms — write once, then poll)
 pay the sort on the first call and a plain dict copy afterwards.
 
-``copy()`` is copy-on-write: the clone shares cell storage with its
-source until either side first mutates, which makes executor
-checkpointing and chaos replay paths cheap when the copy is read-only.
+An exploring executor backtracks by undoing steps, and identifies
+states by a digest of their memory.  Its :class:`DigestedRegisterFile`
+keeps that digest up to date on every write — the sum of one
+:func:`register_term` per written register, so no snapshot is scanned
+to fingerprint a state — and remembers each write's prior state so
+:meth:`~DigestedRegisterFile.revert` can undo it.
 """
 
 from __future__ import annotations
 
+from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..errors import ProtocolError
@@ -62,31 +66,6 @@ class RegisterFile:
         #: write whose name the prefix covers, so snapshot-heavy loops
         #: over a quiescent family pay the sort once
         self._snap_cache: dict[str, dict[str, Any]] = {}
-        #: True while ``_cells``/``_buckets`` are shared with a copy
-        self._shared = False
-
-    # -- copy-on-write plumbing ----------------------------------------
-
-    def _own(self) -> None:
-        """Materialize private storage before the first mutation."""
-        if self._shared:
-            self._cells = dict(self._cells)
-            self._buckets = {
-                key: dict(bucket) for key, bucket in self._buckets.items()
-            }
-            self._shared = False
-
-    def copy(self) -> "RegisterFile":
-        """O(1) copy-on-write clone (either side pays on first mutation)."""
-        clone = RegisterFile.__new__(RegisterFile)
-        clone._cells = self._cells
-        clone._buckets = self._buckets
-        # Caches are never shared: once the two files diverge, a shared
-        # cache could serve one side's snapshot from the other's state.
-        clone._snap_cache = {}
-        clone._shared = True
-        self._shared = True
-        return clone
 
     # -- operations -----------------------------------------------------
 
@@ -94,7 +73,6 @@ class RegisterFile:
         return self._cells.get(name)
 
     def write(self, name: str, value: Any) -> None:
-        self._own()
         self._cells[name] = value
         bucket = self._buckets.get(_bucket_of(name))
         if bucket is None:
@@ -165,6 +143,89 @@ class RegisterFile:
 
     def __len__(self) -> int:
         return len(self._cells)
+
+
+class _Unwritten:
+    def __repr__(self) -> str:
+        return "<unwritten>"
+
+
+#: The prior state of a register that had never been written (the
+#: paper's bottom), which is not the same as a written ``None``.
+UNWRITTEN: Any = _Unwritten()
+
+#: Memory digests are used mod 2**128: ``digest & DIGEST_MASK``.
+DIGEST_MASK = (1 << 128) - 1
+
+
+def register_term(name: str, value: Any) -> int:
+    """One written register's term in a memory digest: blake2b over
+    ``repr((name, value))``, as a 128-bit integer.  No Python ``hash``
+    enters it, so digests do not change with ``PYTHONHASHSEED``."""
+    return int.from_bytes(
+        blake2b(repr((name, value)).encode(), digest_size=16).digest(),
+        "little",
+    )
+
+
+class DigestedRegisterFile(RegisterFile):
+    """The register file of an exploring executor.
+
+    ``digest`` is the sum of :func:`register_term` over the written
+    registers (use it masked with ``DIGEST_MASK``): it is updated on
+    every write and every :meth:`revert`, does not depend on the order
+    of the writes, and tells unwritten registers from written ``None``
+    ones.  After each write, ``last_write`` holds what :meth:`revert`
+    needs to undo it: ``(name, prior value or UNWRITTEN, prior term)``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.digest = 0
+        #: register name -> its current term
+        self._terms: dict[str, int] = {}
+        self.last_write: tuple[str, Any, int] | None = None
+
+    def write(self, name: str, value: Any) -> None:
+        term = register_term(name, value)
+        prior_term = self._terms.get(name)
+        if prior_term is None:
+            self.last_write = (name, UNWRITTEN, 0)
+            self.digest += term
+        else:
+            self.last_write = (name, self._cells[name], prior_term)
+            self.digest += term - prior_term
+        self._terms[name] = term
+        RegisterFile.write(self, name, value)
+
+    def term(self, name: str) -> int:
+        """The digest term of register ``name`` (0 while unwritten)."""
+        return self._terms.get(name, 0)
+
+    def revert(self, name: str, prior: Any, prior_term: int) -> None:
+        """Undo a write, given its ``last_write``.  A register that was
+        unwritten is deleted again: its cell, its bucket entry and every
+        cached snapshot covering it go."""
+        self.digest += prior_term - self._terms[name]
+        if prior is not UNWRITTEN:
+            self._terms[name] = prior_term
+            RegisterFile.write(self, name, prior)
+            return
+        del self._terms[name]
+        del self._cells[name]
+        key = _bucket_of(name)
+        bucket = self._buckets[key]
+        del bucket[name]
+        if not bucket:
+            del self._buckets[key]
+        if self._snap_cache:
+            stale = [
+                prefix
+                for prefix in self._snap_cache
+                if name.startswith(prefix)
+            ]
+            for prefix in stale:
+                del self._snap_cache[prefix]
 
 
 def apply_operation(memory: RegisterFile, op: "ops.Operation") -> Any:

@@ -48,26 +48,39 @@ enters it, so it does not change with ``PYTHONHASHSEED``).  Each node
 is computed once — by the single generator each trie keeps parked, or
 by a replay along the trie path when that generator sits elsewhere —
 and a step that meets a known result just follows the edge.
-:meth:`checkpoint` and :meth:`restore` therefore copy node references
-plus the copy-on-write memory and run no automaton code, and
-:meth:`fingerprint` takes each process's state from its node digest.
+
+An exploring executor backtracks by undoing steps.  Each of its steps
+pushes one undo record — the stepped slot's previous trie node and
+counters, the prior state of the one register the step may write, the
+schedulable tuple and crash-queue position before the step, and
+whether the step started or decided a C-process — and :meth:`undo`
+pops the last record and reverts the step in O(1), running no
+automaton code.  Its memory is a
+:class:`~repro.memory.registers.DigestedRegisterFile`, which keeps an
+additive digest of the written registers up to date on every write and
+every undo, so :meth:`fingerprint` reads no memory: it digests the
+time, the decided vector, that sum, and each process's flags and node
+digest.  A plain executor keeps no undo records and no digest.
 
 This rests on one assumption about automata, which every automaton in
 this repository meets: a process's next operation is a function of the
 results it has received (results being identified by their ``repr``).
+A trie checks it whenever it replays a path: a replayed generator that
+yields another operation than the one recorded, or returns early,
+raises :class:`~repro.errors.ProtocolError`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from hashlib import blake2b
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from ..core.process import ProcessId, c_process, s_process
 from ..core.run import RunResult
 from ..core.system import System, input_register
 from ..errors import ProtocolError, SchedulingError
-from ..memory.registers import RegisterFile
+from ..memory.registers import DIGEST_MASK, DigestedRegisterFile, RegisterFile
 from . import ops
 from .scheduler import (
     RoundRobinScheduler,
@@ -82,6 +95,9 @@ class _ProcessSlot:
     """Runtime state of one process driven by its own generator."""
 
     __slots__ = ("pid", "generator", "pending", "halted", "started", "steps")
+
+    #: a generator-driven slot has no history-trie position
+    node: "_HistoryNode | None" = None
 
     def __init__(self, pid: ProcessId, generator) -> None:
         self.pid = pid
@@ -117,7 +133,10 @@ _FLAGS = ((b"\x00", b"\x01"), (b"\x02", b"\x03"))
 class _HistoryNode:
     """One history of a process: the results it received, in order."""
 
-    __slots__ = ("parent", "result", "pending", "halted", "digest", "children")
+    __slots__ = (
+        "parent", "result", "pending", "halted", "digest", "children",
+        "footprint",
+    )
 
     def __init__(
         self, parent: "_HistoryNode | None", result: Any, digest: bytes
@@ -130,6 +149,9 @@ class _HistoryNode:
         self.digest = digest
         #: ``repr(result)`` -> child
         self.children: dict[str, _HistoryNode] = {}
+        #: the step footprint of ``pending``, cached by
+        #: :func:`repro.checker.independence.step_footprint`
+        self.footprint: Any = None
 
 
 class _HistoryTrie:
@@ -190,15 +212,30 @@ class _HistoryTrie:
             self.live_at = node
 
     def _replay(self, node: _HistoryNode) -> Any:
-        """A fresh generator brought to ``node`` along the trie path."""
+        """A fresh generator brought to ``node`` along the trie path,
+        checked against every node on the way (see the module
+        docstring)."""
         path = []
         while node.parent is not None:
-            path.append(node.result)
+            path.append(node)
             node = node.parent
+        path.append(node)
         generator = self.factory(self.context)
-        generator.send(None)
-        for result in reversed(path):
-            generator.send(result)
+        for received, step in enumerate(reversed(path)):
+            try:
+                op = generator.send(step.result)
+            except StopIteration:
+                replayed = "returned"
+            else:
+                replayed = f"yielded {op!r}"
+                if not step.halted and repr(op) == repr(step.pending):
+                    continue
+            first = "returned" if step.halted else f"yielded {step.pending!r}"
+            raise ProtocolError(
+                f"{self.context.pid} is not deterministic: at its automaton "
+                f"step {received}, after the same {received} result(s), it "
+                f"first {first} but a replay {replayed}"
+            )
         return generator
 
 
@@ -218,26 +255,24 @@ class _TrieSlot(_ProcessSlot):
     position in the process's history trie (``None`` until a C-process
     starts) instead of a generator."""
 
-    __slots__ = ("trie", "node")
+    __slots__ = ("trie", "node", "position")
 
     def __init__(
-        self,
-        pid: ProcessId,
-        trie: _HistoryTrie,
-        node: _HistoryNode | None = None,
-        started: bool = False,
-        halted: bool = False,
-        steps: int = 0,
+        self, pid: ProcessId, trie: _HistoryTrie, position: int
     ) -> None:
-        # Sets every field itself: restores build one slot per process.
-        self.pid = pid
-        self.generator = None
-        self.pending = None if node is None else node.pending
-        self.halted = halted
-        self.started = started
-        self.steps = steps
+        super().__init__(pid, None)
         self.trie = trie
-        self.node = node
+        self.node: _HistoryNode | None = None
+        #: index of the slot's fingerprint record
+        self.position = position
+
+    def record(self) -> bytes:
+        """The slot's fixed-width fingerprint record: its flags and its
+        node digest."""
+        node = self.node
+        return _FLAGS[self.started][self.halted] + (
+            _NO_HISTORY if node is None else node.digest
+        )
 
     def _enter(self, node: _HistoryNode) -> None:
         self.node = node
@@ -251,26 +286,9 @@ class _TrieSlot(_ProcessSlot):
         self._enter(self.trie.child(self.node, result))
 
 
-class ExecutorCheckpoint(NamedTuple):
-    """Restorable execution state captured by :meth:`Executor.checkpoint`.
-
-    Generators cannot be forked, so a checkpoint stores each process's
-    position in its history trie instead (see the module docstring):
-    restoring it runs no automaton code.
-    """
-
-    time: int
-    memory: RegisterFile
-    decisions: tuple[tuple[int, Any], ...]
-    #: per process: (pid, trie, trie node or ``None``, started, halted,
-    #: steps) — the arguments of its restored slot
-    slots: tuple[tuple[Any, ...], ...]
-    #: derived state captured so :meth:`Executor.restore` does not have
-    #: to recompute it: the schedulable list, the crash-queue position,
-    #: and the decided output vector.
-    schedulable: tuple[ProcessId, ...]
-    crash_pos: int
-    decided_vector: tuple[Any, ...]
+#: Undo-record events: the step started, or decided, a C-process.
+_STARTED = 1
+_DECIDED = 2
 
 
 class Executor:
@@ -287,8 +305,8 @@ class Executor:
             reduction algorithms that never "decide".
         record_results: make this an exploring executor: it walks the
             system's per-process history tries instead of owning
-            generators, so it can be checkpointed, restored and
-            fingerprinted (see :meth:`checkpoint`).
+            generators, and every step can be undone (:meth:`undo`) and
+            the state fingerprinted (:meth:`fingerprint`).
     """
 
     def __init__(
@@ -305,17 +323,23 @@ class Executor:
         self.scheduler = scheduler
         self.max_steps = max_steps
         self.stop_when = stop_when
-        self.memory = RegisterFile()
+        self.memory: RegisterFile = (
+            DigestedRegisterFile() if record_results else RegisterFile()
+        )
         self.trace = Trace(enabled=trace)
         self.time = 0
         self.decisions: dict[int, Any] = {}
         self.record_results = record_results
+        #: one record per step of an exploring executor (see :meth:`undo`)
+        self._undo: list[tuple] | None = [] if record_results else None
         self._slots: dict[ProcessId, _ProcessSlot] = {}
         # Insertion order is the canonical sorted order (all C before S,
         # then by index), which keeps the schedulable list sorted for free.
         for pid in system.all_pids():
             if record_results:
-                slot: _ProcessSlot = _TrieSlot(pid, _trie_of(system, pid))
+                slot: _ProcessSlot = _TrieSlot(
+                    pid, _trie_of(system, pid), len(self._slots)
+                )
             else:
                 factories = (
                     system.c_factories
@@ -328,6 +352,13 @@ class Executor:
             if not pid.is_computation:
                 slot.prime()
             self._slots[pid] = slot
+        #: an exploring executor's per-slot fingerprint records, kept up
+        #: to date by every step and undo
+        self._slot_records: list[bytes] = (
+            [slot.record() for slot in self._slots.values()]
+            if record_results
+            else []
+        )
         # -- incremental schedulability state --------------------------
         self._started: set[int] = set()
         self._started_frozen: frozenset[int] | None = frozenset()
@@ -401,6 +432,12 @@ class Executor:
             _NO_HISTORY if node is None else node.digest,
         )
 
+    def history_node(self, pid: ProcessId) -> _HistoryNode | None:
+        """The history-trie node ``pid`` is at: ``None`` before a
+        C-process starts, and always for a plain executor.  A started
+        process's next step depends only on its node."""
+        return self._slots[pid].node
+
     def crashes_pending(self) -> bool:
         """Whether the failure pattern still holds crash transitions at
         or after the current time.  While it does, step reordering is
@@ -430,7 +467,7 @@ class Executor:
 
     def _rebuild_schedulable(self) -> None:
         """Recompute the candidate list from scratch (construction only;
-        steps maintain it incrementally and checkpoints carry it)."""
+        steps maintain it incrementally and undo records carry it)."""
         self._crash_pos = bisect_right(
             self._crash_queue, (self.time, float("inf"))
         )
@@ -485,14 +522,88 @@ class Executor:
             raise SchedulingError(f"unknown process {pid}")
         if pid not in self._schedulable:
             raise SchedulingError(f"{pid} is not schedulable at t={self.time}")
-        self._step(pid, slot)
+        if self._undo is None:
+            self._step(pid, slot)
+        else:
+            self._step_undoable(pid, slot)
 
     def step_trusted(self, pid: ProcessId) -> None:
         """Trusted-caller step path: the caller guarantees ``pid`` is
         currently schedulable (e.g. it was just taken from
         :meth:`schedulable`, as the exhaustive explorer does), so the
         membership re-check is skipped."""
-        self._step(pid, self._slots[pid])
+        if self._undo is None:
+            self._step(pid, self._slots[pid])
+        else:
+            self._step_undoable(pid, self._slots[pid])
+
+    def _step_undoable(self, pid: ProcessId, slot: _ProcessSlot) -> None:
+        """:meth:`_step` for an exploring executor: the same step, plus
+        the undo record :meth:`undo` pops."""
+        memory = self.memory
+        memory.last_write = None
+        schedulable = self._schedulable_tuple
+        if schedulable is None:
+            schedulable = self._schedulable_tuple = tuple(self._schedulable)
+        node = slot.node
+        pending = slot.pending
+        started = slot.started
+        halted = slot.halted
+        steps = slot.steps
+        crash_pos = self._crash_pos
+        records = self._slot_records
+        position = slot.position
+        record = records[position]
+        self._step(pid, slot)
+        records[position] = slot.record()
+        event = None
+        if pid.is_computation:
+            if not started:
+                event = _STARTED
+            elif slot.halted and pid.index in self.decisions:
+                event = _DECIDED
+        self._undo.append(
+            (
+                slot, node, pending, started, halted, steps, record,
+                memory.last_write, schedulable, crash_pos, event,
+            )
+        )
+
+    def undo(self) -> None:
+        """Revert the last step of an exploring executor
+        (``record_results=True``), in O(1): every state this executor
+        exposes — time, memory, decisions, the schedulable set, each
+        process's trie position — returns to what it was before that
+        step, and no automaton code runs."""
+        records = self._undo
+        if not records:
+            raise ProtocolError(
+                "undo() needs an exploring executor (record_results=True) "
+                "that has taken a step"
+            )
+        (
+            slot, slot.node, slot.pending, slot.started, slot.halted,
+            slot.steps, record, write, schedulable, self._crash_pos, event,
+        ) = records.pop()
+        self._slot_records[slot.position] = record
+        self.time -= 1
+        if write is not None:
+            self.memory.revert(*write)
+        if schedulable is not self._schedulable_tuple:
+            self._schedulable = list(schedulable)
+            self._schedulable_tuple = schedulable
+        if event is not None:
+            index = slot.pid.index
+            if event == _STARTED:
+                self._started.discard(index)
+                self._started_frozen = None
+            else:
+                del self.decisions[index]
+                self._undecided.add(index)
+                self._decided_frozen = None
+                self._decided_vector = None
+        if self.trace.enabled:
+            self.trace.events.pop()
 
     def _step(self, pid: ProcessId, slot: _ProcessSlot) -> None:
         if pid.is_computation and not slot.started:
@@ -589,89 +700,7 @@ class Executor:
             return None
         raise ProtocolError(f"{pid} yielded a non-operation: {op!r}")
 
-    # -- checkpoint / restore ---------------------------------------------
-
-    def checkpoint(self) -> ExecutorCheckpoint:
-        """Capture restorable execution state (requires
-        ``record_results=True``): O(#processes) trie-node references
-        plus an O(1) copy-on-write clone of memory."""
-        if not self.record_results:
-            raise ProtocolError(
-                "checkpoint() requires an executor constructed with "
-                "record_results=True"
-            )
-        # Positional: the explorer checkpoints every node it expands.
-        return ExecutorCheckpoint(
-            self.time,
-            self.memory.copy(),
-            tuple(self.decisions.items()),
-            tuple(
-                [
-                    (
-                        pid, slot.trie, slot.node,
-                        slot.started, slot.halted, slot.steps,
-                    )
-                    for pid, slot in self._slots.items()
-                ]
-            ),
-            self.schedulable(),
-            self._crash_pos,
-            self.decided_vector(),
-        )
-
-    @classmethod
-    def restore(
-        cls,
-        system: System,
-        scheduler: Scheduler,
-        checkpoint: ExecutorCheckpoint,
-        *,
-        max_steps: int = 200_000,
-        stop_when: Callable[["Executor"], bool] | None = None,
-    ) -> "Executor":
-        """Rebuild an exploring executor equivalent to the one that
-        produced ``checkpoint``.
-
-        ``system`` must be the checkpointed run's system or a fresh,
-        identical one (same builder and seed).  Each process resumes at
-        its checkpointed trie node, in the checkpointed run's tries, so
-        no automaton code runs and no shared memory is touched.
-        Restored executors are untraced (exploration never traces); the
-        memory clone is copy-on-write, so restoring is cheap until the
-        restored run first writes.
-
-        The executor is assembled by hand rather than through
-        ``__init__``: none of the constructor's fresh-run state (empty
-        memory, initial schedulable set) is built only to be thrown
-        away.
-        """
-        ex = cls.__new__(cls)
-        ex.system = system
-        ex.scheduler = scheduler
-        ex.max_steps = max_steps
-        ex.stop_when = stop_when
-        ex.memory = checkpoint.memory.copy()
-        ex.trace = Trace(enabled=False)
-        ex.time = checkpoint.time
-        ex.decisions = dict(checkpoint.decisions)
-        ex.record_results = True
-        ex._slots = {
-            fields[0]: _TrieSlot(*fields) for fields in checkpoint.slots
-        }
-        ex._started = {
-            pid.index
-            for pid, slot in ex._slots.items()
-            if slot.started and pid.is_computation
-        }
-        ex._started_frozen = None
-        ex._decided_frozen = None
-        ex._decided_vector = checkpoint.decided_vector
-        ex._undecided = set(system.participants).difference(ex.decisions)
-        ex._crash_queue = system.pattern.crash_transitions
-        ex._crash_pos = checkpoint.crash_pos
-        ex._schedulable = list(checkpoint.schedulable)
-        ex._schedulable_tuple = checkpoint.schedulable
-        return ex
+    # -- state identity ---------------------------------------------------
 
     def fingerprint(self) -> bytes:
         """Digest of the full execution state, for state deduplication.
@@ -686,25 +715,17 @@ class Executor:
                 "fingerprint() requires an executor constructed with "
                 "record_results=True"
             )
-        # Snapshots come in canonical order and the decided vector is
-        # indexed, so neither needs sorting; every slot contributes a
-        # fixed-width record, which keeps the encoding unambiguous.
-        digest = blake2b(
-            repr(
-                (self.time, self.memory.snapshot(""), self.decided_vector())
-            ).encode(),
+        # The decided vector is indexed and the memory digest is a sum,
+        # so neither depends on the order things happened in; the digest
+        # and every slot record are fixed-width, which keeps the encoding
+        # unambiguous.
+        return blake2b(
+            b"%d:" % self.time
+            + repr(self.decided_vector()).encode()
+            + (self.memory.digest & DIGEST_MASK).to_bytes(16, "little")
+            + b"".join(self._slot_records),
             digest_size=16,
-        )
-        digest.update(
-            b"".join(
-                [
-                    _FLAGS[slot.started][slot.halted]
-                    + (_NO_HISTORY if slot.node is None else slot.node.digest)
-                    for slot in self._slots.values()
-                ]
-            )
-        )
-        return digest.digest()
+        ).digest()
 
     # -- driving -----------------------------------------------------------
 
@@ -743,6 +764,7 @@ class Executor:
         # History-trie slots resume through their trie: every step of an
         # exploring executor takes the step-by-step path.
         exploring = self.record_results
+        step = self._step_undoable if exploring else self._step
         max_steps = self.max_steps
         queue = self._crash_queue
         scheduler = self.scheduler
@@ -838,7 +860,7 @@ class Executor:
                     # A C-process's first step, a decision, an unusual
                     # operation, or a history-trie slot.
                     self.time = time
-                    self._step(pid, slot)
+                    step(pid, slot)
                     time = resync_at = self.time
                     continue
                 if events is not None:

@@ -1,6 +1,11 @@
-"""Checkpointed exploration must be a pure performance change: node
-counts, verdicts, and restored executor state are all invariant."""
+"""Backtracking by undo must be a pure performance change: node counts,
+verdicts, and undone executor state are all invariant."""
 
+import itertools
+
+import pytest
+
+from repro.algorithms.kset_concurrent import kset_concurrent_factories
 from repro.algorithms.renaming_figure4 import (
     figure4_factories,
     figure4_factory,
@@ -12,9 +17,10 @@ from repro.checker import (
 )
 from repro.core import System
 from repro.core.process import c_process
+from repro.errors import ProtocolError
 from repro.runtime import Executor, ops
 from repro.runtime.scheduler import ExplicitScheduler
-from repro.tasks import ConsensusTask, RenamingTask
+from repro.tasks import ConsensusTask, RenamingTask, SetAgreementTask
 
 
 def renaming_builder():
@@ -23,7 +29,7 @@ def renaming_builder():
 
 class NaiveExplorer:
     """Reference DFS: rebuilds the system and replays the whole prefix
-    for every node (the pre-checkpoint algorithm, kept brutally simple)."""
+    for every node with plain generators (kept brutally simple)."""
 
     def __init__(self, builder, max_depth, candidate_filter):
         self.builder = builder
@@ -122,84 +128,29 @@ class TestDedup:
             assert not report.ok
 
 
-class TestCheckpointRestore:
-    def test_restore_is_observationally_identical(self):
-        system = System(
-            inputs=(1, 2, None), c_factories=figure4_factories(3)
-        )
-        executor = Executor(
-            system,
-            ExplicitScheduler([], strict=False),
-            max_steps=50,
-            record_results=True,
-        )
-        for _ in range(6):
-            executor.step(executor.schedulable()[0])
-        checkpoint = executor.checkpoint()
-        # Drive the original past the checkpoint; the restored copy must
-        # reflect the checkpoint, not the original's later state.
-        original_schedulable = executor.schedulable()
-        executor.step(executor.schedulable()[0])
-        restored = Executor.restore(
-            system, ExplicitScheduler([], strict=False), checkpoint,
-            max_steps=50,
-        )
-        assert restored.time == checkpoint.time
-        assert restored.decisions == dict(checkpoint.decisions)
-        assert restored.schedulable() == original_schedulable
-        assert (
-            restored.memory.snapshot("") == dict(checkpoint.memory.snapshot(""))
-        )
-        assert restored.fingerprint() == Executor.restore(
-            system, ExplicitScheduler([], strict=False), checkpoint,
-            max_steps=50,
-        ).fingerprint()
+def _counting(factory):
+    """``factory`` wrapped so every generator advance is counted."""
+    counter = {"sends": 0}
 
-    def test_restored_run_continues_identically(self):
-        system = System(
-            inputs=(1, 2, None), c_factories=figure4_factories(3)
-        )
-        executor = Executor(
-            system,
-            ExplicitScheduler([], strict=False),
-            max_steps=100,
-            record_results=True,
-        )
-        for _ in range(4):
-            executor.step(c_process(0))
-        checkpoint = executor.checkpoint()
-        restored = Executor.restore(
-            system, ExplicitScheduler([], strict=False), checkpoint,
-            max_steps=100,
-        )
-        # Null S-automata never halt, so bound the lockstep drive; the C
-        # part has fully played out (and decided) well within the bound.
-        for _ in range(40):
-            candidates = executor.schedulable()
-            assert restored.schedulable() == candidates
-            executor.step(candidates[0])
-            restored.step(candidates[0])
-        assert restored.decisions == executor.decisions
-        assert restored.memory.snapshot("") == executor.memory.snapshot("")
-        assert restored.time == executor.time
+    def counted(ctx):
+        inner = factory(ctx)
+        result = None
+        while True:
+            counter["sends"] += 1
+            try:
+                op = inner.send(result)
+            except StopIteration:
+                return
+            result = yield op
 
-    def test_restore_runs_no_automaton_code(self):
-        # A restore must reposition every process in its history trie,
-        # not rebuild generators by replaying what they received.
-        resumes = 0
+    return counted, counter
 
-        def counted(ctx):
-            nonlocal resumes
-            inner = figure4_factory(ctx)
-            result = None
-            while True:
-                resumes += 1
-                try:
-                    op = inner.send(result)
-                except StopIteration:
-                    return
-                result = yield op
 
+class TestUndo:
+    def test_undo_runs_no_automaton_code(self):
+        # Backtracking reverts trie positions; stepping forward again
+        # over an edge the trie already knows just follows it.
+        counted, counter = _counting(figure4_factory)
         system = System(inputs=(1, 2, None), c_factories=[counted] * 3)
         executor = Executor(
             system,
@@ -207,16 +158,98 @@ class TestCheckpointRestore:
             max_steps=50,
             record_results=True,
         )
-        for pid in (c_process(0), c_process(1)) * 3:
+        schedule = [c_process(0), c_process(1)] * 3
+        for pid in schedule:
             executor.step(pid)
-        checkpoint = executor.checkpoint()
-        before = resumes
+        before = counter["sends"]
         assert before > 0
-        for _ in range(50):
-            restored = Executor.restore(
-                system, ExplicitScheduler([], strict=False), checkpoint,
-                max_steps=50,
+        fingerprint = executor.fingerprint()
+        for back in range(1, len(schedule) + 1):
+            for _ in range(back):
+                executor.undo()
+            for pid in schedule[len(schedule) - back:]:
+                executor.step(pid)
+            assert executor.fingerprint() == fingerprint
+        assert counter["sends"] == before
+
+    def test_undo_keeps_caches_it_does_not_change(self):
+        # The safety verdict keys its cache on these objects: undoing a
+        # step that neither started nor decided a process keeps them.
+        system = System(inputs=(1, 2, None), c_factories=figure4_factories(3))
+        executor = Executor(
+            system,
+            ExplicitScheduler([], strict=False),
+            record_results=True,
+        )
+        executor.step(c_process(0))
+        started, vector = executor.started_c, executor.decided_vector()
+        executor.step(c_process(0))
+        executor.undo()
+        assert executor.started_c is started
+        assert executor.decided_vector() is vector
+        executor.undo()
+        assert executor.started_c == frozenset()
+
+    def test_undo_needs_an_exploring_executor_with_a_step(self):
+        system = System(inputs=(1, 2, None), c_factories=figure4_factories(3))
+        for record_results in (False, True):
+            executor = Executor(
+                system,
+                ExplicitScheduler([], strict=False),
+                record_results=record_results,
             )
-            for pid in system.all_pids():
-                restored.peek(pid)
-        assert resumes == before
+            with pytest.raises(ProtocolError, match="undo"):
+                executor.undo()
+
+    def test_violations_equal_fresh_replays(self):
+        # The explorer's one executor moves on after a violation; the
+        # recorded result must be the violating run's own, and stay so.
+        def builder():
+            return System(
+                inputs=(0, 1, 2), c_factories=kset_concurrent_factories(3, 2)
+            )
+
+        explorer = ScheduleExplorer(
+            builder, max_depth=14, candidate_filter=drop_null_s_processes
+        )
+        report = explorer.check(task_safety_verdict(SetAgreementTask(3, 2)))
+        assert len(report.violations) > 1
+        assert report.explored > len(report.violations)
+        for schedule, result in report.violations:
+            replay = Executor(
+                builder(), ExplicitScheduler([], strict=False)
+            )
+            for pid in schedule:
+                replay.step(pid)
+            fresh = replay.result("violation")
+            assert result.memory.snapshot("") == fresh.memory.snapshot("")
+            assert (
+                result.outputs, result.participants, result.steps,
+                result.step_counts, result.reason,
+            ) == (
+                fresh.outputs, fresh.participants, fresh.steps,
+                fresh.step_counts, fresh.reason,
+            )
+
+
+class TestHistoryTrie:
+    def test_nondeterministic_automaton_is_refused(self):
+        # Each generator instance writes its own serial number, so a
+        # replay along the trie yields an operation the trie never
+        # recorded; following the stale trie would explore runs the
+        # automaton cannot take.
+        serial = itertools.count()
+
+        def drifting(ctx):
+            yield ops.Write("x", next(serial))
+            yield ops.Read("x")
+            yield ops.Decide(ctx.input_value)
+
+        def builder():
+            return System(inputs=(0, 0), c_factories=[drifting, drifting])
+
+        explorer = ScheduleExplorer(
+            builder, max_depth=10, candidate_filter=drop_null_s_processes
+        )
+        with pytest.raises(ProtocolError, match="not deterministic"):
+            explorer.check(task_safety_verdict(ConsensusTask(2)))

@@ -1,6 +1,9 @@
 """Tests for the exhaustive schedule explorer and valency analysis."""
 
+import pytest
 
+from repro import api
+from repro.__main__ import EXIT_CHECK_CAPPED, main
 from repro.algorithms.kset_concurrent import kset_concurrent_factories
 from repro.algorithms.one_concurrent import one_concurrent_factories
 from repro.algorithms.renaming_figure4 import figure4_factories
@@ -11,7 +14,12 @@ from repro.checker import (
     drop_null_s_processes,
     task_safety_verdict,
 )
+from repro.classify import (
+    certify_k_concurrent_exhaustively,
+    explore_k_concurrent,
+)
 from repro.core import System
+from repro.errors import ExplorationInterrupted
 from repro.tasks import ConsensusTask, RenamingTask, SetAgreementTask
 
 
@@ -89,6 +97,65 @@ class TestExplorer:
         )
         report = explorer.check(task_safety_verdict(SetAgreementTask(3, 2)))
         assert report.completed_runs + report.truncated_runs <= 50
+        assert report.capped
+
+
+#: perfbench's ``explore`` instance at the depth where every run ends:
+#: a certificate needs about 650k nodes, so ``max_runs=3`` stops it early.
+CERTIFICATE = (
+    RenamingTask(4, 3, 5), figure4_factories(4), 3, (1, 2, 3, None)
+)
+CERTIFICATE_KNOBS = {"max_depth": 33, "por": True, "dedup": True}
+
+
+class TestCertificateCap:
+    def test_capped_exploration_is_flagged(self):
+        report = explore_k_concurrent(
+            *CERTIFICATE, max_runs=3, **CERTIFICATE_KNOBS
+        )
+        assert report.capped and not report.interrupted
+        assert report.ok  # no violation found, yet nothing certified
+        full = explore_k_concurrent(
+            RenamingTask(3, 2, 4), figure4_factories(3), 2, (1, 2, None),
+            max_depth=20,
+        )
+        assert full.ok and not full.capped and full.truncated_runs == 0
+
+    def test_certify_refuses_capped_and_interrupted_reports(self):
+        assert not certify_k_concurrent_exhaustively(
+            *CERTIFICATE, max_runs=3, **CERTIFICATE_KNOBS
+        )
+        assert not certify_k_concurrent_exhaustively(
+            *CERTIFICATE, deadline_s=0.0, **CERTIFICATE_KNOBS
+        )
+
+    def test_verify_run_refuses_a_capped_exploration(self):
+        task, factories, k, inputs = CERTIFICATE
+        result = api.solve_task_restricted(
+            task, inputs=inputs, concurrency=k
+        )
+        with pytest.raises(ExplorationInterrupted, match="max_runs=3"):
+            api.verify_run(
+                result,
+                task,
+                exhaustive=True,
+                factories=factories,
+                concurrency=k,
+                max_runs=3,
+                **CERTIFICATE_KNOBS,
+            )
+
+    def test_check_command_reports_the_cap(self, capsys):
+        code = main(
+            [
+                "check", "renaming", "--n", "4", "--k", "3", "--depth",
+                "33", "--por", "--dedup", "--max-runs", "3",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_CHECK_CAPPED != 0
+        assert "capped     : stopped at --max-runs 3" in out
+        assert "OK" not in out
 
 
 class TestValency:

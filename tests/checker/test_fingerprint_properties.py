@@ -6,7 +6,9 @@ Over random legal schedules of the Figure 4 and k-set-concurrent
 systems, two exploring executors must have equal fingerprints exactly
 when a plain generator-driven reference, which logs every operation and
 result, reaches equal states; and symmetry pruning must keep exactly
-the candidates the reference logs say are interchangeable.
+the candidates the reference logs say are interchangeable.  Undoing
+steps must leave an exploring executor exactly where a fresh one
+replaying the surviving path gets, in every observable.
 """
 
 from hypothesis import example, given, settings
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.algorithms.kset_concurrent import kset_concurrent_factory
 from repro.algorithms.renaming_figure4 import figure4_factory
-from repro.checker import c_orbits, prune_interchangeable
-from repro.core import System
+from repro.checker import c_orbits, canonical_fingerprint, prune_interchangeable
+from repro.core import FailurePattern, System
 from repro.core.process import c_process
 from repro.core.system import null_automaton
 from repro.runtime import Executor
@@ -192,3 +194,82 @@ def test_fingerprints_match_reference_states(case, first, second):
         assert prune_interchangeable(
             exploring, orbits, candidates
         ) == _reference_prune(reference, recorder, orbits, candidates)
+
+
+#: case name -> (C-automaton factory, input vector, failure pattern):
+#: the systems above, plus crash transitions that retire S-processes
+#: mid-run
+UNDO_CASES = {
+    **{name: (factory, inputs, None) for name, (factory, inputs) in CASES.items()},
+    "figure4-crashes": (
+        figure4_factory,
+        (1, 1, 2),
+        FailurePattern(3, (2, None, 5)),
+    ),
+}
+
+
+def _undo_system(case):
+    factory, inputs, pattern = UNDO_CASES[case]
+    return System(
+        inputs=inputs, c_factories=[factory] * len(inputs), pattern=pattern
+    )
+
+
+def _observed(executor):
+    orbits = c_orbits(executor.system)
+    return (
+        executor.time,
+        executor.fingerprint(),
+        canonical_fingerprint(executor, orbits),
+        list(executor.memory.snapshot("").items()),
+        executor.schedulable(),
+        executor.started_c,
+        executor.decided_c,
+        executor.decided_vector(),
+        [executor.slot_view(pid) for pid in executor.system.all_pids()],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(sorted(UNDO_CASES)),
+    actions=st.lists(
+        st.one_of(st.integers(0, 5), st.just("undo")), max_size=40
+    ),
+)
+@example(case="figure4-crashes", actions=[0] * 8 + ["undo"] * 8 + [1] * 8)
+@example(case="kset", actions=[0] * 6 + ["undo"] * 3)
+def test_step_undo_matches_fresh_replay(case, actions):
+    # Any interleaving of steps and undos must leave the executor
+    # exactly where a fresh executor stepping the surviving path gets.
+    executor = Executor(
+        _undo_system(case),
+        ExplicitScheduler([], strict=False),
+        trace=True,
+        record_results=True,
+    )
+    path = []
+    for action in actions:
+        # Keeps a cached whole-memory snapshot for undos to invalidate.
+        executor.memory.snapshot("")
+        if action == "undo":
+            if path:
+                executor.undo()
+                path.pop()
+            continue
+        candidates = executor.schedulable()
+        if candidates:
+            pid = candidates[action % len(candidates)]
+            executor.step(pid)
+            path.append(pid)
+    fresh = Executor(
+        _undo_system(case),
+        ExplicitScheduler([], strict=False),
+        trace=True,
+        record_results=True,
+    )
+    for pid in path:
+        fresh.step(pid)
+    assert _observed(executor) == _observed(fresh)
+    assert executor.trace.events == fresh.trace.events

@@ -205,7 +205,13 @@ class TestInterruptResume:
             make_explorer().check(renaming_verdict(), resume_from=path)
 
     def test_version_1_checkpoint_is_refused(self, tmp_path):
-        # Version 1 frontier files key their dedup map on the old
+        self._refuses_version(tmp_path, 1)
+
+    def test_version_2_checkpoint_is_refused(self, tmp_path):
+        self._refuses_version(tmp_path, 2)
+
+    def _refuses_version(self, tmp_path, version):
+        # Version 1 and 2 frontier files key their dedup map on older
         # fingerprint bytes, which no state has any more: resuming one
         # would silently stop deduplicating the states it covers.
         path = str(tmp_path / "frontier.ckpt")
@@ -214,10 +220,10 @@ class TestInterruptResume:
         )
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        payload["version"] = 1
+        payload["version"] = version
         with open(path, "wb") as handle:
             pickle.dump(payload, handle)
-        with pytest.raises(ResilienceError, match="version 1"):
+        with pytest.raises(ResilienceError, match=f"version {version}"):
             make_explorer(dedup=True).check(
                 renaming_verdict(), resume_from=path
             )

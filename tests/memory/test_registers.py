@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.memory import RegisterFile, apply_operation
+from repro.memory.registers import UNWRITTEN, DigestedRegisterFile
 from repro.runtime import ops
 
 
@@ -37,20 +38,53 @@ class TestRegisterFile:
         assert mem.compare_and_swap("r", None, "y") == "x"
         assert mem.read("r") == "x"
 
-    def test_copy_is_independent(self):
-        mem = RegisterFile()
-        mem.write("r", 1)
-        clone = mem.copy()
-        clone.write("r", 2)
-        assert mem.read("r") == 1
-        assert clone.read("r") == 2
-
     def test_len_and_names(self):
         mem = RegisterFile()
         mem.write("a", 1)
         mem.write("b", 2)
         assert len(mem) == 2
         assert set(mem.names()) == {"a", "b"}
+
+
+class TestDigestedRegisterFile:
+    def test_digest_ignores_write_order(self):
+        a, b = DigestedRegisterFile(), DigestedRegisterFile()
+        for name, value in [("x/0", 1), ("x/1", 2), ("y", 3)]:
+            a.write(name, value)
+        for name, value in [("y", 3), ("x/1", 9), ("x/0", 1), ("x/1", 2)]:
+            b.write(name, value)
+        assert a.digest == b.digest
+
+    def test_written_none_is_not_unwritten(self):
+        mem = DigestedRegisterFile()
+        mem.write("r", None)
+        assert mem.digest != DigestedRegisterFile().digest
+        assert mem.last_write == ("r", UNWRITTEN, 0)
+
+    def test_revert_restores_the_prior_value(self):
+        mem = DigestedRegisterFile()
+        mem.write("a/0", 1)
+        digest = mem.digest
+        assert mem.snapshot("a/") == {"a/0": 1}
+        mem.write("a/0", 2)
+        mem.revert(*mem.last_write)
+        assert mem.read("a/0") == 1
+        assert mem.snapshot("a/") == {"a/0": 1}
+        assert mem.digest == digest
+
+    def test_reverting_a_first_write_deletes_the_register(self):
+        mem = DigestedRegisterFile()
+        mem.write("a/0", 1)
+        assert mem.snapshot("") == {"a/0": 1}
+        assert mem.snapshot("a/") == {"a/0": 1}
+        mem.write("a/1", None)
+        assert mem.snapshot("a/") == {"a/0": 1, "a/1": None}
+        mem.revert(*mem.last_write)
+        assert mem.snapshot("a/") == {"a/0": 1}
+        mem.revert("a/0", UNWRITTEN, 0)
+        assert len(mem) == 0
+        assert mem.snapshot("") == {} and mem.snapshot("a/") == {}
+        assert mem.digest == 0 and mem.term("a/0") == 0
 
 
 class TestApplyOperation:

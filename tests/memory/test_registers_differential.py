@@ -1,9 +1,11 @@
-"""Differential tests: the bucketed, copy-on-write register file must be
-observationally identical to a plain dict-scan reference."""
+"""Differential tests: the bucketed register file, and the digested one
+an exploring executor undoes writes on, must be observationally
+identical to a plain dict-scan reference."""
 
 import random
 
 from repro.memory import RegisterFile
+from repro.memory.registers import DigestedRegisterFile, register_term
 
 
 class ReferenceFile:
@@ -91,51 +93,30 @@ class TestDifferential:
                     # the exhaustive checker depends on this).
                     assert list(got.items()) == list(want.items())
 
-    def test_snapshots_survive_copies_mid_sequence(self):
-        rng = random.Random(99)
-        real, ref = RegisterFile(), ReferenceFile()
-        for i, op in enumerate(random_ops(rng, 300)):
-            if i % 37 == 0:
-                # Exercise the COW path: clone, diverge the clone, and
-                # check the original is unaffected.
-                before = real.read("clone/only")
-                clone = real.copy()
-                clone.write("clone/only", i)
-                assert real.read("clone/only") == before
-                if i % 2:
-                    real = clone
-                    ref.write("clone/only", i)
-            if op[0] == "write":
-                real.write(op[1], op[2])
-                ref.write(op[1], op[2])
-            elif op[0] == "snapshot":
-                assert real.snapshot(op[1]) == ref.snapshot(op[1])
-
-
-class TestCopyOnWrite:
-    def test_clone_sees_state_at_copy_time(self):
-        mem = RegisterFile()
-        mem.write("a/0", 1)
-        clone = mem.copy()
-        mem.write("a/0", 2)
-        mem.write("a/1", 3)
-        assert clone.snapshot("a/") == {"a/0": 1}
-        assert mem.snapshot("a/") == {"a/0": 2, "a/1": 3}
-
-    def test_chain_of_copies(self):
-        mem = RegisterFile()
-        mem.write("r", 0)
-        copies = []
-        for i in range(1, 5):
-            copies.append(mem.copy())
-            mem.write("r", i)
-        assert [c.read("r") for c in copies] == [0, 1, 2, 3]
-        assert mem.read("r") == 4
-
-    def test_clone_of_clone_without_mutation(self):
-        mem = RegisterFile()
-        mem.write("r", "x")
-        a = mem.copy()
-        b = a.copy()
-        b.write("r", "y")
-        assert (mem.read("r"), a.read("r"), b.read("r")) == ("x", "x", "y")
+    def test_snapshots_survive_reverts(self):
+        # An exploring executor undoes writes in last-in-first-out order:
+        # after any such revert the file (snapshot caches and digest
+        # included) must match the reference at the same point.
+        for seed in range(20):
+            rng = random.Random(seed)
+            real = DigestedRegisterFile()
+            writes = []
+            states = [{}]
+            for op in random_ops(rng, 300):
+                if op[0] == "write":
+                    real.write(op[1], op[2])
+                    writes.append(real.last_write)
+                    states.append({**states[-1], op[1]: op[2]})
+                elif op[0] == "snapshot":
+                    want = ReferenceFile()
+                    want.cells = states[-1]
+                    assert list(real.snapshot(op[1]).items()) == list(
+                        want.snapshot(op[1]).items()
+                    )
+                elif writes:  # reads and CASes stand in for undos here
+                    real.revert(*writes.pop())
+                    states.pop()
+                assert real.digest == sum(
+                    register_term(name, value)
+                    for name, value in states[-1].items()
+                )
