@@ -99,11 +99,22 @@ def test_tracing_overhead(benchmark, traced):
     benchmark(run)
 
 
+def _round_trips(executor, path, rounds):
+    """Backtrack the way the explorer does, ``rounds`` times: undo the
+    executor's whole ``path`` and step it again over known trie edges.
+    Each round trip must come back to the same fingerprint."""
+    fingerprint = executor.fingerprint()
+    for _ in range(rounds):
+        executor.undo_to(0)
+        for pid in path:
+            executor.step_trusted(pid)
+        assert executor.fingerprint() == fingerprint
+
+
 def test_step_undo_roundtrip(benchmark):
-    """Covers the exploration fast path: drive an exploring executor
-    mid-run (building each process's history trie), then backtrack the
-    way the explorer does — undo every step and step the same path
-    again over known trie edges — many times over."""
+    """Covers the exploration fast path over reads and writes: drive an
+    exploring executor mid-run (building each process's history trie),
+    then round-trip its path many times over."""
 
     def run():
         system = System(inputs=(1,) * 4, c_factories=[reader_writer] * 4)
@@ -118,13 +129,37 @@ def test_step_undo_roundtrip(benchmark):
             pid = executor.schedulable()[0]
             executor.step_trusted(pid)
             path.append(pid)
-        fingerprint = executor.fingerprint()
-        for _ in range(20):
-            for _ in path:
-                executor.undo()
-            for pid in path:
-                executor.step_trusted(pid)
-        assert executor.fingerprint() == fingerprint
+        _round_trips(executor, path, 20)
+        return executor
+
+    benchmark(run)
+
+
+def test_figure4_step_undo_roundtrip(benchmark):
+    """The same round trip over Figure 4 renaming run to completion,
+    whose automata snapshot: each known snapshot edge is followed by
+    its bucket's digest, without building the snapshot."""
+    from repro.algorithms.renaming_figure4 import figure4_factories
+
+    def run():
+        system = System(
+            inputs=(1, 2, 3, None), c_factories=figure4_factories(4)
+        )
+        executor = Executor(
+            system, RoundRobinScheduler(), record_results=True
+        )
+        path = []
+        while True:
+            candidates = [
+                pid for pid in executor.schedulable() if pid.is_computation
+            ]
+            if not candidates:
+                break
+            pid = candidates[len(path) % len(candidates)]
+            executor.step_trusted(pid)
+            path.append(pid)
+        assert len(executor.decided_c) == 3
+        _round_trips(executor, path, 20)
         return executor
 
     benchmark(run)

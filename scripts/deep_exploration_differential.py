@@ -3,8 +3,11 @@
 
 Runs the exhaustive task-safety check at depths too slow for per-PR CI
 and fails if any reduction (por / dedup / symmetry, in the strongest
-combinations) reports a different verdict than the naive explorer, or
-if pure sleep-set POR visits a different state *set*.  Wired to the
+combinations) reports a different verdict than the naive explorer, if
+pure sleep-set POR visits a different state *set*, or if any phase
+explores another number of nodes than the one pinned in ``MATRIX`` (a
+change in how the explorer identifies states or trie edges that merged
+or split two states would pass the verdict checks).  Wired to the
 scheduled `deep-exploration` CI job; runnable locally:
 
     PYTHONPATH=src python scripts/deep_exploration_differential.py
@@ -66,17 +69,19 @@ def _kset_case(n, k, inputs):
     return task, build, gate
 
 
-# (name, case, depth, compare-state-sets, reduction configs)
+# (name, case, depth, compare-state-sets, naive explored count,
+#  [(reduction config, explored count), ...]); the counts are pinned
 MATRIX = [
     (
         "figure4-renaming-d18",
         _figure4_case(3, 2, 3, (1, 2, None)),
         18,
         True,
+        4_913,
         [
-            {"por": True},
-            {"por": True, "dedup": True},
-            {"symmetry": True, "por": True, "dedup": True},
+            ({"por": True}, 1_539),
+            ({"por": True, "dedup": True}, 222),
+            ({"symmetry": True, "por": True, "dedup": True}, 222),
         ],
     ),
     (
@@ -84,10 +89,11 @@ MATRIX = [
         _kset_case(4, 2, (1, 1, 1, 1)),
         18,
         False,  # naive state collection at this depth is the slow part
+        108_185,
         [
-            {"por": True, "dedup": True},
-            {"symmetry": True, "dedup": True},
-            {"symmetry": True, "por": True, "dedup": True},
+            ({"por": True, "dedup": True}, 1_207),
+            ({"symmetry": True, "dedup": True}, 82),
+            ({"symmetry": True, "por": True, "dedup": True}, 82),
         ],
     ),
     (
@@ -96,10 +102,11 @@ MATRIX = [
         _figure4_case(4, 3, 5, (1, 2, 3, None)),
         12,
         False,
+        603_322,
         [
-            {"por": True},
-            {"por": True, "dedup": True},
-            {"symmetry": True, "por": True, "dedup": True},
+            ({"por": True}, 183_712),
+            ({"por": True, "dedup": True}, 4_668),
+            ({"symmetry": True, "por": True, "dedup": True}, 4_668),
         ],
     ),
     (
@@ -108,9 +115,10 @@ MATRIX = [
         _kset_case(5, 2, (1, 1, 1, 1, 2)),
         18,
         False,
+        3_571_601,
         [
-            {"por": True, "dedup": True},
-            {"symmetry": True, "por": True, "dedup": True},
+            ({"por": True, "dedup": True}, 7_151),
+            ({"symmetry": True, "por": True, "dedup": True}, 476),
         ],
     ),
     (
@@ -118,10 +126,11 @@ MATRIX = [
         _kset_case(3, 2, (1, 1, 0)),
         16,
         True,
+        4_099,
         [
-            {"por": True},
-            {"por": True, "dedup": True},
-            {"symmetry": True, "por": True, "dedup": True},
+            ({"por": True}, 2_827),
+            ({"por": True, "dedup": True}, 202),
+            ({"symmetry": True, "por": True, "dedup": True}, 112),
         ],
     ),
 ]
@@ -233,7 +242,9 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     try:
-        for name, (task, build, gate), depth, check_states, configs in MATRIX:
+        for (
+            name, (task, build, gate), depth, check_states, naive_pin, configs
+        ) in MATRIX:
             naive, naive_states, wall, skipped = runner.run(
                 f"{name}--naive", task, build, gate, depth, check_states
             )
@@ -241,7 +252,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"{name}: naive {naive.explored} nodes, ok={naive.ok} "
                 f"({'cached' if skipped else f'{wall:.1f}s'})"
             )
-            for knobs in configs:
+            if naive.explored != naive_pin:
+                failures.append(
+                    f"{name} [naive]: explored {naive.explored} nodes, "
+                    f"pinned {naive_pin}"
+                )
+            for knobs, pin in configs:
                 tag = "+".join(sorted(k for k, v in knobs.items() if v))
                 pure_por = knobs == {"por": True}
                 reduced, reduced_states, wall, skipped = runner.run(
@@ -255,6 +271,11 @@ def main(argv: list[str] | None = None) -> int:
                     f"ok={reduced.ok} "
                     f"({'cached' if skipped else f'{wall:.1f}s'})"
                 )
+                if reduced.explored != pin:
+                    failures.append(
+                        f"{name} [{tag}]: explored {reduced.explored} "
+                        f"nodes, pinned {pin}"
+                    )
                 if reduced.ok != naive.ok:
                     failures.append(
                         f"{name} [{tag}]: verdict {reduced.ok} != "

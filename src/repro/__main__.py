@@ -217,8 +217,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"inputs     : {inputs}")
     print(f"concurrency: {k}")
     print(
-        f"explored   : {report.explored} nodes in {wall:.2f}s "
-        f"(depth {args.depth})"
+        f"explored   : {report.explored} nodes in {wall:.2f}s, "
+        f"{report.explored / wall:.0f} nodes/s (depth {args.depth})"
     )
     print(
         f"runs       : {report.completed_runs} completed, "

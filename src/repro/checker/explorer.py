@@ -10,8 +10,9 @@ Exploration is a DFS over the executor's ``schedulable()`` sets, and
 one exploring executor walks the whole of it.  Frontier entries are
 ``(schedule, sleep set)`` pairs.  DFS order guarantees that the entry
 popped next was pushed by a node on the executor's current path, so
-visiting it means undoing back to that parent — O(1) per step, see
-:meth:`~repro.runtime.executor.Executor.undo` — and taking one step;
+visiting it means undoing back to that parent — one
+:meth:`~repro.runtime.executor.Executor.undo_to` call, O(1) per step —
+and taking one step, which mostly follows a known history-trie edge;
 no automaton code is re-run to backtrack.  The executor handed to the
 verdict and the candidate filter therefore moves on as soon as they
 return, and a violation's :class:`~repro.core.run.RunResult` is built
@@ -205,21 +206,6 @@ class ScheduleExplorer:
             record_results=True,
         )
 
-    def _executor_at(self, schedule: tuple[ProcessId, ...]) -> Executor:
-        """The shared executor moved to ``schedule``.  Its current path
-        ends at the node visited last, and ``schedule``'s parent lies on
-        that path (DFS order), so undoing back to the parent and taking
-        the last step gets there; right after a resume the path is
-        empty, and the whole schedule is replayed instead."""
-        executor = self._executor
-        undo = executor.undo
-        for _ in range(executor.time - max(len(schedule) - 1, 0)):
-            undo()
-        for pid in schedule[executor.time:]:
-            executor.step_trusted(pid)
-        self.current_schedule = schedule
-        return executor
-
     def _violation(self, schedule: tuple[ProcessId, ...]):
         """The result of a violating run, on an executor of its own:
         the shared one moves on (violations are rare)."""
@@ -364,11 +350,6 @@ class ScheduleExplorer:
                 _signal.signal(signum, previous)
         return report
 
-    def _fingerprint(self, executor: Executor) -> bytes:
-        if self._orbits:
-            return canonical_fingerprint(executor, self._orbits)
-        return executor.fingerprint()
-
     def _seen_covers(
         self,
         seen: dict[bytes, list[frozenset]],
@@ -412,10 +393,31 @@ class ScheduleExplorer:
         counters so far is a complete description of the remaining
         work.
         """
+        executor = self._executor
+        undo_to = executor.undo_to
+        step = executor.step_trusted
+        orbits = self._orbits
+        if orbits:
+
+            def fingerprint() -> bytes:
+                return canonical_fingerprint(executor, orbits)
+
+        else:
+            fingerprint = executor.fingerprint
+        seen_covers = self._seen_covers
+        branches_of = self._branches
+        max_depth = self.max_depth
+        max_runs = self.max_runs
+        por = self.por
+        monotonic = time.monotonic
+        pop = stack.pop
+        # Equal sleep sets share one object: ``seen`` keeps the sleep set
+        # of every visit, and few of them differ.
+        awake: frozenset = frozenset()
+        sleep_sets: dict[frozenset, frozenset] = {awake: awake}
         while stack:
             if self._interrupt or (
-                deadline_at is not None
-                and time.monotonic() >= deadline_at
+                deadline_at is not None and monotonic() >= deadline_at
             ):
                 report.interrupted = True
                 if checkpoint_path is not None:
@@ -424,18 +426,22 @@ class ScheduleExplorer:
                     )
                     report.checkpoint_path = checkpoint_path
                 return
-            if (
-                report.completed_runs + report.truncated_runs
-                >= self.max_runs
-            ):
+            if report.completed_runs + report.truncated_runs >= max_runs:
                 report.capped = True
                 return
-            schedule, sleep = stack.pop()
-            executor = self._executor_at(schedule)
+            schedule, sleep = pop()
+            # The executor's path ends at the node visited last, and
+            # ``schedule``'s parent lies on it (DFS order): undo back to
+            # the parent and take the last step.  Right after a resume
+            # the path is empty, and the whole schedule is replayed.
+            parent = len(schedule) - 1
+            if executor.time > parent:
+                undo_to(max(parent, 0))
+            for pid in schedule[executor.time:]:
+                step(pid)
+            self.current_schedule = schedule
             if seen is not None:
-                if self._seen_covers(
-                    seen, self._fingerprint(executor), sleep
-                ):
+                if seen_covers(seen, fingerprint(), sleep):
                     report.deduplicated += 1
                     continue
             report.explored += 1
@@ -446,15 +452,15 @@ class ScheduleExplorer:
             if outcome is None:
                 report.completed_runs += 1
                 continue
-            if len(schedule) >= self.max_depth:
+            if len(schedule) >= max_depth:
                 report.truncated_runs += 1
                 continue
-            branches = self._branches(executor, report)
+            branches = branches_of(executor, report)
             if not branches:
                 report.completed_runs += 1
                 continue
             children: list = []
-            if self.por and not executor.crashes_pending():
+            if por and not executor.crashes_pending():
                 # Footprints must be taken *now*, while the executor
                 # still holds this node's state: the next pop moves it.
                 footprints: dict[ProcessId, StepFootprint] = {
@@ -472,13 +478,16 @@ class ScheduleExplorer:
                         for t in sleep.union(taken)
                         if commutes(footprints[t], pid_fp)
                     )
+                    child_sleep = sleep_sets.setdefault(
+                        child_sleep, child_sleep
+                    )
                     children.append((schedule + (pid,), child_sleep))
                     taken.append(pid)
             else:
                 # No POR here (disabled, or crash transitions pending —
                 # everything is dependent, so all sleepers wake).
                 for pid in branches:
-                    children.append((schedule + (pid,), frozenset()))
+                    children.append((schedule + (pid,), awake))
             stack.extend(reversed(children))
 
 

@@ -34,7 +34,20 @@ states by a digest of their memory.  Its :class:`DigestedRegisterFile`
 keeps that digest up to date on every write — the sum of one
 :func:`register_term` per written register, so no snapshot is scanned
 to fingerprint a state — and remembers each write's prior state so
-:meth:`~DigestedRegisterFile.revert` can undo it.
+:meth:`~DigestedRegisterFile.revert` can undo it.  The executor
+caches each write's term on the history-trie node that performs it and
+hands it to :meth:`~DigestedRegisterFile.write_term`, the one place
+the digests are updated on a write.
+
+The file also keeps the same sum per bucket, and counts for every
+directory prefix how many buckets extend it.  When a snapshot's prefix
+is exactly one bucket's key and no other bucket extends it, the result
+is that bucket's contents, and :meth:`~DigestedRegisterFile.
+snapshot_digest` returns the bucket's digest: equal ``(name,
+repr(value))`` sets give equal sums, and distinct ones collide with
+probability about 2^-128 — the argument the memory digest rests on.  An
+exploring executor keys such a snapshot's history-trie edge by that
+digest, so a known edge is followed without building the snapshot.
 """
 
 from __future__ import annotations
@@ -175,8 +188,10 @@ class DigestedRegisterFile(RegisterFile):
     registers (use it masked with ``DIGEST_MASK``): it is updated on
     every write and every :meth:`revert`, does not depend on the order
     of the writes, and tells unwritten registers from written ``None``
-    ones.  After each write, ``last_write`` holds what :meth:`revert`
-    needs to undo it: ``(name, prior value or UNWRITTEN, prior term)``.
+    ones.  Each bucket keeps the same sum over its own registers (see
+    :meth:`snapshot_digest`).  After each write, ``last_write`` holds
+    what :meth:`revert` needs to undo it: ``(name, prior value or
+    UNWRITTEN, prior term)``.
     """
 
     def __init__(self) -> None:
@@ -184,48 +199,108 @@ class DigestedRegisterFile(RegisterFile):
         self.digest = 0
         #: register name -> its current term
         self._terms: dict[str, int] = {}
+        #: bucket key -> the sum of its registers' terms (gone with the
+        #: bucket's last register)
+        self._bucket_digests: dict[str, int] = {}
+        #: directory prefix -> how many bucket keys strictly extend it
+        #: (absent when none does)
+        self._extended: dict[str, int] = {}
         self.last_write: tuple[str, Any, int] | None = None
 
     def write(self, name: str, value: Any) -> None:
-        term = register_term(name, value)
+        self.write_term(name, value, register_term(name, value))
+
+    def write_term(self, name: str, value: Any, term: int) -> None:
+        """:meth:`write`, given the write's ``register_term(name,
+        value)``."""
+        key = _bucket_of(name)
         prior_term = self._terms.get(name)
         if prior_term is None:
             self.last_write = (name, UNWRITTEN, 0)
             self.digest += term
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                bucket = self._buckets[key] = {}
+                self._bucket_digests[key] = term
+                self._count_extension(key, 1)
+            else:
+                self._bucket_digests[key] += term
         else:
             self.last_write = (name, self._cells[name], prior_term)
             self.digest += term - prior_term
+            bucket = self._buckets[key]
+            self._bucket_digests[key] += term - prior_term
         self._terms[name] = term
-        RegisterFile.write(self, name, value)
+        self._cells[name] = value
+        bucket[name] = value
+        if self._snap_cache:
+            self._drop_cached(name)
 
     def term(self, name: str) -> int:
         """The digest term of register ``name`` (0 while unwritten)."""
         return self._terms.get(name, 0)
 
+    def snapshot_digest(self, prefix: str) -> int | None:
+        """When ``prefix`` is exactly one bucket's key and no other
+        bucket extends it, that bucket's sum of terms, which identifies
+        ``snapshot(prefix)`` up to a 2^-128 collision, as :attr:`digest`
+        identifies the memory; ``None`` for every other prefix (a
+        partial leaf, ``""``, one that spans buckets)."""
+        if not prefix or prefix in self._extended:
+            return None
+        return self._bucket_digests.get(prefix)
+
     def revert(self, name: str, prior: Any, prior_term: int) -> None:
         """Undo a write, given its ``last_write``.  A register that was
-        unwritten is deleted again: its cell, its bucket entry and every
-        cached snapshot covering it go."""
-        self.digest += prior_term - self._terms[name]
+        unwritten is deleted again: its cell, its bucket entry (the
+        bucket and its digest too, if it empties) and every cached
+        snapshot covering it go."""
+        term = self._terms[name]
+        key = _bucket_of(name)
+        self.digest += prior_term - term
+        bucket = self._buckets[key]
         if prior is not UNWRITTEN:
             self._terms[name] = prior_term
-            RegisterFile.write(self, name, prior)
-            return
-        del self._terms[name]
-        del self._cells[name]
-        key = _bucket_of(name)
-        bucket = self._buckets[key]
-        del bucket[name]
-        if not bucket:
-            del self._buckets[key]
+            self._bucket_digests[key] += prior_term - term
+            self._cells[name] = prior
+            bucket[name] = prior
+        else:
+            del self._terms[name]
+            del self._cells[name]
+            del bucket[name]
+            if bucket:
+                self._bucket_digests[key] -= term
+            else:
+                del self._buckets[key]
+                del self._bucket_digests[key]
+                self._count_extension(key, -1)
         if self._snap_cache:
-            stale = [
-                prefix
-                for prefix in self._snap_cache
-                if name.startswith(prefix)
-            ]
-            for prefix in stale:
-                del self._snap_cache[prefix]
+            self._drop_cached(name)
+
+    def _drop_cached(self, name: str) -> None:
+        """Drop every cached snapshot whose prefix covers ``name`` (the
+        plain :meth:`RegisterFile.write` does this inline)."""
+        stale = [
+            prefix for prefix in self._snap_cache if name.startswith(prefix)
+        ]
+        for prefix in stale:
+            del self._snap_cache[prefix]
+
+    def _count_extension(self, key: str, delta: int) -> None:
+        """Count bucket ``key`` in (``delta`` 1) or out (-1) of every
+        directory prefix it strictly extends: ``a/`` and ``a/b/`` for
+        ``a/b/c/``.  Buckets come and go only with a directory's first
+        register, so no write scans the buckets."""
+        extended = self._extended
+        cut = key.find("/")
+        while 0 <= cut < len(key) - 1:
+            prefix = key[: cut + 1]
+            count = extended.get(prefix, 0) + delta
+            if count:
+                extended[prefix] = count
+            else:
+                del extended[prefix]
+            cut = key.find("/", cut + 1)
 
 
 def apply_operation(memory: RegisterFile, op: "ops.Operation") -> Any:

@@ -34,53 +34,58 @@ scheduler gets a view whose candidates tuple is rebuilt only when the
 list shrinks.  The common operations are performed and the generator
 resumed inline; a C-process's first step, a decision and any unusual
 operation take the step-by-step path (:meth:`_step`, which
-:meth:`step` and the explorer use), so the loop's operation dispatch
-duplicates only :meth:`_step`'s hot branches.
+:meth:`step` uses), so the loop's operation dispatch duplicates only
+:meth:`_step`'s hot branches.
 
 An executor constructed with ``record_results=True`` explores
 (:mod:`repro.checker.explorer`): instead of one generator per process it
-walks a per-process *history trie* that the system owns and every
-exploring executor over it shares.  A trie node is one sequence of
-results the process has received; it stores the operation the process
-yields next, whether it halted, and a content digest (blake2b over the
-parent's digest, ``repr(op)`` and ``repr(result)``: no Python ``hash``
-enters it, so it does not change with ``PYTHONHASHSEED``).  Each node
-is computed once — by the single generator each trie keeps parked, or
-by a replay along the trie path when that generator sits elsewhere —
+walks a per-process history trie (:mod:`repro.runtime.history_trie`),
 and a step that meets a known result just follows the edge.
+:meth:`step`, :meth:`step_trusted` and :meth:`run` of an exploring
+executor all take one step path, :meth:`_explore_step`, which performs
+every operation inline and re-derives nothing its trie node fixes.  A
+``Write`` node caches its register's digest term.  A ``Snapshot`` of
+a prefix that is exactly one bucket's key, with no other bucket
+extending it, keys its edge by the bucket's content digest
+(:meth:`~repro.memory.registers.DigestedRegisterFile.snapshot_digest`),
+so the snapshot dict is built and ``repr``'d only when that edge is
+new; every other prefix (a partial leaf, ``""``, one that spans
+buckets) keys its edge by the snapshot's ``repr``.  Both keys lead to
+the same child: equal ``(name, repr(value))`` sets give equal digests,
+and distinct ones collide with probability about 2^-128, the argument
+the memory digest rests on.
 
 An exploring executor backtracks by undoing steps.  Each of its steps
 pushes one undo record — the stepped slot's previous trie node and
 counters, the prior state of the one register the step may write, the
 schedulable tuple and crash-queue position before the step, and
-whether the step started or decided a C-process — and :meth:`undo`
-pops the last record and reverts the step in O(1), running no
-automaton code.  Its memory is a
+whether the step started or decided a C-process — and :meth:`undo_to`
+pops records back to an earlier time, reverting each step in O(1) and
+running no automaton code.  Its memory is a
 :class:`~repro.memory.registers.DigestedRegisterFile`, which keeps an
-additive digest of the written registers up to date on every write and
-every undo, so :meth:`fingerprint` reads no memory: it digests the
-time, the decided vector, that sum, and each process's flags and node
-digest.  A plain executor keeps no undo records and no digest.
-
-This rests on one assumption about automata, which every automaton in
-this repository meets: a process's next operation is a function of the
-results it has received (results being identified by their ``repr``).
-A trie checks it whenever it replays a path: a replayed generator that
-yields another operation than the one recorded, or returns early,
-raises :class:`~repro.errors.ProtocolError`.
+additive digest of the written registers (and one per bucket) up to
+date on every write and every undo, so :meth:`fingerprint` reads no
+memory: it digests the time, the decided vector, that sum, and each
+process's flags and node digest.  A plain executor keeps no undo
+records and no digest.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from hashlib import blake2b
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.process import ProcessId, c_process, s_process
 from ..core.run import RunResult
 from ..core.system import System, input_register
 from ..errors import ProtocolError, SchedulingError
-from ..memory.registers import DIGEST_MASK, DigestedRegisterFile, RegisterFile
+from ..memory.registers import (
+    DIGEST_MASK,
+    DigestedRegisterFile,
+    RegisterFile,
+    register_term,
+)
 from . import ops
 from .scheduler import (
     RoundRobinScheduler,
@@ -90,6 +95,15 @@ from .scheduler import (
 )
 from .trace import Trace, TraceEvent
 
+if TYPE_CHECKING:
+    from .history_trie import HistoryNode, TrieSlot
+
+
+#: Stand-in digest of a C-process that has not started.
+_NO_HISTORY = bytes(16)
+#: ``_FLAGS[started][halted]``: a slot's flags in a fingerprint.
+_FLAGS = ((b"\x00", b"\x01"), (b"\x02", b"\x03"))
+
 
 class _ProcessSlot:
     """Runtime state of one process driven by its own generator."""
@@ -97,7 +111,7 @@ class _ProcessSlot:
     __slots__ = ("pid", "generator", "pending", "halted", "started", "steps")
 
     #: a generator-driven slot has no history-trie position
-    node: "_HistoryNode | None" = None
+    node: "HistoryNode | None" = None
 
     def __init__(self, pid: ProcessId, generator) -> None:
         self.pid = pid
@@ -120,170 +134,6 @@ class _ProcessSlot:
         except StopIteration:
             self.halted = True
             self.pending = None
-
-
-#: Digest of the empty history (a primed process that received nothing).
-_ROOT_DIGEST = blake2b(b"", digest_size=16).digest()
-#: Stand-in digest of a C-process that has not started.
-_NO_HISTORY = bytes(16)
-#: ``_FLAGS[started][halted]``: a slot's flags in a fingerprint.
-_FLAGS = ((b"\x00", b"\x01"), (b"\x02", b"\x03"))
-
-
-class _HistoryNode:
-    """One history of a process: the results it received, in order."""
-
-    __slots__ = (
-        "parent", "result", "pending", "halted", "digest", "children",
-        "footprint",
-    )
-
-    def __init__(
-        self, parent: "_HistoryNode | None", result: Any, digest: bytes
-    ) -> None:
-        self.parent = parent
-        #: the result on the edge from ``parent`` (kept for replays)
-        self.result = result
-        self.pending: Any = None
-        self.halted = False
-        self.digest = digest
-        #: ``repr(result)`` -> child
-        self.children: dict[str, _HistoryNode] = {}
-        #: the step footprint of ``pending``, cached by
-        #: :func:`repro.checker.independence.step_footprint`
-        self.footprint: Any = None
-
-
-class _HistoryTrie:
-    """Every history one process has reached in a system's explorations.
-
-    One generator is kept parked at the node it last computed; a child
-    of any other node is computed by replaying a fresh generator along
-    the trie path.  Parking one generator per node instead would grow
-    with the number of distinct histories.
-    """
-
-    __slots__ = ("factory", "context", "root_node", "live", "live_at")
-
-    def __init__(self, factory, context) -> None:
-        self.factory = factory
-        self.context = context
-        self.root_node: _HistoryNode | None = None
-        self.live: Any = None
-        self.live_at: _HistoryNode | None = None
-
-    def root(self) -> _HistoryNode:
-        if self.root_node is None:
-            node = _HistoryNode(None, None, _ROOT_DIGEST)
-            self._compute(node, self.factory(self.context), None)
-            self.root_node = node
-        return self.root_node
-
-    def child(self, node: _HistoryNode, result: Any) -> _HistoryNode:
-        key = repr(result)
-        child = node.children.get(key)
-        if child is None:
-            if self.live_at is node:
-                generator = self.live
-            else:
-                generator = self._replay(node)
-            op = repr(node.pending).encode()
-            digest = blake2b(node.digest, digest_size=16)
-            digest.update(b"%d:" % len(op))
-            digest.update(op)
-            digest.update(key.encode())
-            child = _HistoryNode(node, result, digest.digest())
-            self._compute(child, generator, result)
-            node.children[key] = child
-        return child
-
-    def _compute(self, node: _HistoryNode, generator, result: Any) -> None:
-        """Fill in ``node`` by sending ``result`` to ``generator`` (which
-        sits at the node's parent; a fresh one, sent ``None``, for the
-        root), then park the generator at it."""
-        self.live_at = None  # a raising automaton leaves nothing parked
-        try:
-            node.pending = generator.send(result)
-        except StopIteration:
-            node.halted = True
-            self.live = None
-        else:
-            self.live = generator
-            self.live_at = node
-
-    def _replay(self, node: _HistoryNode) -> Any:
-        """A fresh generator brought to ``node`` along the trie path,
-        checked against every node on the way (see the module
-        docstring)."""
-        path = []
-        while node.parent is not None:
-            path.append(node)
-            node = node.parent
-        path.append(node)
-        generator = self.factory(self.context)
-        for received, step in enumerate(reversed(path)):
-            try:
-                op = generator.send(step.result)
-            except StopIteration:
-                replayed = "returned"
-            else:
-                replayed = f"yielded {op!r}"
-                if not step.halted and repr(op) == repr(step.pending):
-                    continue
-            first = "returned" if step.halted else f"yielded {step.pending!r}"
-            raise ProtocolError(
-                f"{self.context.pid} is not deterministic: at its automaton "
-                f"step {received}, after the same {received} result(s), it "
-                f"first {first} but a replay {replayed}"
-            )
-        return generator
-
-
-def _trie_of(system: System, pid: ProcessId) -> _HistoryTrie:
-    trie = system.history_tries.get(pid)
-    if trie is None:
-        factories = (
-            system.c_factories if pid.is_computation else system.s_factories
-        )
-        trie = _HistoryTrie(factories[pid.index], system.context_for(pid))
-        system.history_tries[pid] = trie
-    return trie
-
-
-class _TrieSlot(_ProcessSlot):
-    """Runtime state of one process of an exploring executor: a
-    position in the process's history trie (``None`` until a C-process
-    starts) instead of a generator."""
-
-    __slots__ = ("trie", "node", "position")
-
-    def __init__(
-        self, pid: ProcessId, trie: _HistoryTrie, position: int
-    ) -> None:
-        super().__init__(pid, None)
-        self.trie = trie
-        self.node: _HistoryNode | None = None
-        #: index of the slot's fingerprint record
-        self.position = position
-
-    def record(self) -> bytes:
-        """The slot's fixed-width fingerprint record: its flags and its
-        node digest."""
-        node = self.node
-        return _FLAGS[self.started][self.halted] + (
-            _NO_HISTORY if node is None else node.digest
-        )
-
-    def _enter(self, node: _HistoryNode) -> None:
-        self.node = node
-        self.pending = node.pending
-        self.halted = node.halted
-
-    def prime(self) -> None:
-        self._enter(self.trie.root())
-
-    def resume(self, result: Any) -> None:
-        self._enter(self.trie.child(self.node, result))
 
 
 #: Undo-record events: the step started, or decided, a C-process.
@@ -332,13 +182,17 @@ class Executor:
         self.record_results = record_results
         #: one record per step of an exploring executor (see :meth:`undo`)
         self._undo: list[tuple] | None = [] if record_results else None
-        self._slots: dict[ProcessId, _ProcessSlot] = {}
+        self._slots: dict[ProcessId, _ProcessSlot | TrieSlot] = {}
+        if record_results:
+            # Plain runs never import the tries (nor, without cached
+            # bytecode, compile them).
+            from .history_trie import TrieSlot, trie_of
         # Insertion order is the canonical sorted order (all C before S,
         # then by index), which keeps the schedulable list sorted for free.
         for pid in system.all_pids():
             if record_results:
-                slot: _ProcessSlot = _TrieSlot(
-                    pid, _trie_of(system, pid), len(self._slots)
+                slot: _ProcessSlot | TrieSlot = TrieSlot(
+                    pid, trie_of(system, pid), len(self._slots)
                 )
             else:
                 factories = (
@@ -355,7 +209,11 @@ class Executor:
         #: an exploring executor's per-slot fingerprint records, kept up
         #: to date by every step and undo
         self._slot_records: list[bytes] = (
-            [slot.record() for slot in self._slots.values()]
+            [
+                _FLAGS[slot.started][slot.halted]
+                + (_NO_HISTORY if slot.node is None else slot.node.digest)
+                for slot in self._slots.values()
+            ]
             if record_results
             else []
         )
@@ -432,7 +290,7 @@ class Executor:
             _NO_HISTORY if node is None else node.digest,
         )
 
-    def history_node(self, pid: ProcessId) -> _HistoryNode | None:
+    def history_node(self, pid: ProcessId) -> HistoryNode | None:
         """The history-trie node ``pid`` is at: ``None`` before a
         C-process starts, and always for a plain executor.  A started
         process's next step depends only on its node."""
@@ -525,7 +383,7 @@ class Executor:
         if self._undo is None:
             self._step(pid, slot)
         else:
-            self._step_undoable(pid, slot)
+            self._explore_step(pid, slot)
 
     def step_trusted(self, pid: ProcessId) -> None:
         """Trusted-caller step path: the caller guarantees ``pid`` is
@@ -535,13 +393,19 @@ class Executor:
         if self._undo is None:
             self._step(pid, self._slots[pid])
         else:
-            self._step_undoable(pid, self._slots[pid])
+            self._explore_step(pid, self._slots[pid])
 
-    def _step_undoable(self, pid: ProcessId, slot: _ProcessSlot) -> None:
-        """:meth:`_step` for an exploring executor: the same step, plus
-        the undo record :meth:`undo` pops."""
+    def _explore_step(self, pid: ProcessId, slot: TrieSlot) -> None:
+        """The step of an exploring executor: :meth:`_step`'s step over
+        the process's history trie, with every operation performed
+        inline, plus the undo record :meth:`undo_to` pops.
+
+        A known edge is followed without running automaton code, a
+        ``Write`` applies the term cached on its node, and a one-bucket
+        ``Snapshot`` looks its edge up by the bucket's digest, so the
+        snapshot is built (and ``repr``'d) only when that edge is new.
+        On such a hit the trace records the child's stored result."""
         memory = self.memory
-        memory.last_write = None
         schedulable = self._schedulable_tuple
         if schedulable is None:
             schedulable = self._schedulable_tuple = tuple(self._schedulable)
@@ -554,56 +418,168 @@ class Executor:
         records = self._slot_records
         position = slot.position
         record = records[position]
-        self._step(pid, slot)
-        records[position] = slot.record()
-        event = None
-        if pid.is_computation:
-            if not started:
-                event = _STARTED
-            elif slot.halted and pid.index in self.decisions:
+        time = self.time
+        events = self.trace.events if self.trace.enabled else None
+        write = event = None
+        if node is None:
+            # The paper: the first step of a C-process writes its input.
+            index = pid.index
+            name = input_register(index)
+            value = self.system.inputs[index]
+            memory.write(name, value)
+            write = memory.last_write
+            event = _STARTED
+            slot.started = True
+            self._started.add(index)
+            self._started_frozen = None
+            child = slot.trie.root()
+            if events is not None:
+                events.append(
+                    TraceEvent(time, pid, ops.Write(name, value), None)
+                )
+        else:
+            op = node.pending
+            op_type = type(op)
+            children = node.children
+            # Exact-type dispatch, most frequent operations first.
+            if op_type is ops.Write:
+                term = node.term
+                if term is None:
+                    term = node.term = register_term(op.register, op.value)
+                memory.write_term(op.register, op.value, term)
+                write = memory.last_write
+                result = None
+                child = children.get("None") or slot.trie.child(
+                    node, "None", None
+                )
+            elif op_type is ops.Snapshot:
+                digest = memory.snapshot_digest(op.prefix)
+                edges = node.snapshot_children
+                child = (
+                    None
+                    if digest is None or edges is None
+                    else edges.get(digest)
+                )
+                if child is None:
+                    result = memory.snapshot(op.prefix)
+                    key = repr(result)
+                    child = children.get(key) or slot.trie.child(
+                        node, key, result
+                    )
+                    if digest is not None:
+                        if edges is None:
+                            edges = node.snapshot_children = {}
+                        edges[digest] = child
+                else:
+                    result = child.result
+            elif op_type is ops.Decide:
+                if pid.is_synchronization:
+                    raise ProtocolError("S-processes cannot decide")
+                index = pid.index
+                self.decisions[index] = op.value
+                self._decided_frozen = None
+                self._decided_vector = None
+                self._undecided.discard(index)
                 event = _DECIDED
+                result = None
+                child = node
+                slot.halted = True
+                self._retire(pid)
+            else:
+                if op_type is ops.Nop:
+                    result = None
+                elif op_type is ops.Read:
+                    result = memory.read(op.register)
+                elif op_type is ops.QueryFD:
+                    if pid.is_computation:
+                        raise ProtocolError(
+                            "C-processes cannot query the detector"
+                        )
+                    result = self.system.history.value(pid.index, time)
+                else:  # CompareAndSwap, or an unusual operation
+                    memory.last_write = None
+                    if op_type is ops.CompareAndSwap:
+                        result = memory.compare_and_swap(
+                            op.register, op.expected, op.new
+                        )
+                    else:
+                        result = self._perform(pid, op)
+                    write = memory.last_write
+                key = repr(result)
+                child = children.get(key) or slot.trie.child(
+                    node, key, result
+                )
+            if events is not None:
+                events.append(TraceEvent(time, pid, op, result))
+        if child is not node:
+            slot.node = child
+            slot.pending = child.pending
+            if child.halted:
+                slot.halted = True
+                self._retire(pid)
+        slot.steps = steps + 1
+        records[position] = _FLAGS[slot.started][slot.halted] + child.digest
+        time += 1
+        self.time = time
+        queue = self._crash_queue
+        if crash_pos < len(queue) and queue[crash_pos][0] <= time:
+            self._retire_crashed(time)
         self._undo.append(
             (
                 slot, node, pending, started, halted, steps, record,
-                memory.last_write, schedulable, crash_pos, event,
+                write, schedulable, crash_pos, event,
             )
         )
 
     def undo(self) -> None:
         """Revert the last step of an exploring executor
-        (``record_results=True``), in O(1): every state this executor
-        exposes — time, memory, decisions, the schedulable set, each
-        process's trie position — returns to what it was before that
-        step, and no automaton code runs."""
+        (``record_results=True``): ``undo_to(time - 1)``."""
+        self.undo_to(self.time - 1)
+
+    def undo_to(self, time: int) -> None:
+        """Revert an exploring executor's (``record_results=True``)
+        steps back to ``time``, in O(1) per step: every state this
+        executor exposes — time, memory, decisions, the schedulable set,
+        each process's trie position — returns to what it was at
+        ``time``, and no automaton code runs."""
         records = self._undo
-        if not records:
+        if records is None or not 0 <= time <= self.time:
             raise ProtocolError(
-                "undo() needs an exploring executor (record_results=True) "
-                "that has taken a step"
+                f"undo_to({time}) needs an exploring executor "
+                f"(record_results=True) that has taken a step since then "
+                f"(it is at time {self.time})"
             )
-        (
-            slot, slot.node, slot.pending, slot.started, slot.halted,
-            slot.steps, record, write, schedulable, self._crash_pos, event,
-        ) = records.pop()
-        self._slot_records[slot.position] = record
-        self.time -= 1
-        if write is not None:
-            self.memory.revert(*write)
+        if time == self.time:
+            return
+        pop = records.pop
+        slot_records = self._slot_records
+        revert = self.memory.revert
+        events = self.trace.events if self.trace.enabled else None
+        for _ in range(self.time - time):
+            (
+                slot, slot.node, slot.pending, slot.started, slot.halted,
+                slot.steps, record, write, schedulable, crash_pos, event,
+            ) = pop()
+            slot_records[slot.position] = record
+            if write is not None:
+                revert(*write)
+            if event is not None:
+                index = slot.pid.index
+                if event == _STARTED:
+                    self._started.discard(index)
+                    self._started_frozen = None
+                else:
+                    del self.decisions[index]
+                    self._undecided.add(index)
+                    self._decided_frozen = None
+                    self._decided_vector = None
+            if events is not None:
+                events.pop()
+        self.time = time
+        self._crash_pos = crash_pos
         if schedulable is not self._schedulable_tuple:
             self._schedulable = list(schedulable)
             self._schedulable_tuple = schedulable
-        if event is not None:
-            index = slot.pid.index
-            if event == _STARTED:
-                self._started.discard(index)
-                self._started_frozen = None
-            else:
-                del self.decisions[index]
-                self._undecided.add(index)
-                self._decided_frozen = None
-                self._decided_vector = None
-        if self.trace.enabled:
-            self.trace.events.pop()
 
     def _step(self, pid: ProcessId, slot: _ProcessSlot) -> None:
         if pid.is_computation and not slot.started:
@@ -762,9 +738,9 @@ class Executor:
         events = self.trace.events if self.trace.enabled else None
         stop_when = self.stop_when
         # History-trie slots resume through their trie: every step of an
-        # exploring executor takes the step-by-step path.
+        # exploring executor takes :meth:`_explore_step`.
         exploring = self.record_results
-        step = self._step_undoable if exploring else self._step
+        step = self._explore_step if exploring else self._step
         max_steps = self.max_steps
         queue = self._crash_queue
         scheduler = self.scheduler

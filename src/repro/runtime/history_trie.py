@@ -1,0 +1,197 @@
+"""Per-process history tries: how an exploring executor
+(``record_results=True``, :mod:`repro.runtime.executor`) runs automata.
+
+Instead of one generator per process, an exploring executor walks a
+per-process *history trie* that the system owns
+(``System.history_tries``) and every exploring executor over it shares.
+A trie node is one sequence of results the process has received; it
+stores the operation the process yields next, whether it halted, and a
+content digest (blake2b over the parent's digest, ``repr(op)`` and
+``repr(result)``: no Python ``hash`` enters it, so it does not change
+with ``PYTHONHASHSEED``).  Each node is computed once — by the single
+generator each trie keeps parked, or by a replay along the trie path
+when that generator sits elsewhere — and a step that meets a known
+result just follows the edge.  A node also caches what its fixed
+pending operation lets the executor skip re-deriving: a ``Write``'s
+digest term, a ``Snapshot``'s edges keyed by bucket digest, and the
+step's POR footprint.
+
+This rests on one assumption about automata, which every automaton in
+this repository meets: a process's next operation is a function of the
+results it has received (results being identified by their ``repr``).
+A trie checks it whenever it replays a path: a replayed generator that
+yields another operation than the one recorded, or returns early,
+raises :class:`~repro.errors.ProtocolError`.
+"""
+
+from __future__ import annotations
+
+from hashlib import blake2b
+from typing import Any
+
+from ..core.process import ProcessId
+from ..core.system import System
+from ..errors import ProtocolError
+
+#: Digest of the empty history (a primed process that received nothing).
+_ROOT_DIGEST = blake2b(b"", digest_size=16).digest()
+
+
+class HistoryNode:
+    """One history of a process: the results it received, in order."""
+
+    __slots__ = (
+        "parent", "result", "pending", "halted", "digest", "children",
+        "snapshot_children", "term", "footprint",
+    )
+
+    def __init__(
+        self, parent: "HistoryNode | None", result: Any, digest: bytes
+    ) -> None:
+        self.parent = parent
+        #: the result on the edge from ``parent`` (kept for replays, and
+        #: for the trace of a step that follows a snapshot edge)
+        self.result = result
+        self.pending: Any = None
+        self.halted = False
+        self.digest = digest
+        #: ``repr(result)`` -> child
+        self.children: dict[str, HistoryNode] = {}
+        #: for a pending ``Snapshot`` of one bucket, once it is taken: the
+        #: bucket's digest (:meth:`~repro.memory.registers.
+        #: DigestedRegisterFile.snapshot_digest`) -> the child its
+        #: snapshot leads to, which ``children`` holds under the
+        #: snapshot's ``repr``
+        self.snapshot_children: dict[int, HistoryNode] | None = None
+        #: for a pending ``Write``: its ``register_term``, computed once
+        self.term: int | None = None
+        #: the step footprint of ``pending``, cached by
+        #: :func:`repro.checker.independence.step_footprint`
+        self.footprint: Any = None
+
+
+class HistoryTrie:
+    """Every history one process has reached in a system's explorations.
+
+    One generator is kept parked at the node it last computed; a child
+    of any other node is computed by replaying a fresh generator along
+    the trie path.  Parking one generator per node instead would grow
+    with the number of distinct histories.
+    """
+
+    __slots__ = ("factory", "context", "root_node", "live", "live_at")
+
+    def __init__(self, factory, context) -> None:
+        self.factory = factory
+        self.context = context
+        self.root_node: HistoryNode | None = None
+        self.live: Any = None
+        self.live_at: HistoryNode | None = None
+
+    def root(self) -> HistoryNode:
+        if self.root_node is None:
+            node = HistoryNode(None, None, _ROOT_DIGEST)
+            self._compute(node, self.factory(self.context), None)
+            self.root_node = node
+        return self.root_node
+
+    def child(self, node: HistoryNode, key: str, result: Any) -> HistoryNode:
+        """``node``'s child along the edge ``key`` (``repr(result)``),
+        computed if it is new."""
+        child = node.children.get(key)
+        if child is None:
+            if self.live_at is node:
+                generator = self.live
+            else:
+                generator = self._replay(node)
+            op = repr(node.pending).encode()
+            digest = blake2b(node.digest, digest_size=16)
+            digest.update(b"%d:" % len(op))
+            digest.update(op)
+            digest.update(key.encode())
+            child = HistoryNode(node, result, digest.digest())
+            self._compute(child, generator, result)
+            node.children[key] = child
+        return child
+
+    def _compute(self, node: HistoryNode, generator, result: Any) -> None:
+        """Fill in ``node`` by sending ``result`` to ``generator`` (which
+        sits at the node's parent; a fresh one, sent ``None``, for the
+        root), then park the generator at it."""
+        self.live_at = None  # a raising automaton leaves nothing parked
+        try:
+            node.pending = generator.send(result)
+        except StopIteration:
+            node.halted = True
+            self.live = None
+        else:
+            self.live = generator
+            self.live_at = node
+
+    def _replay(self, node: HistoryNode) -> Any:
+        """A fresh generator brought to ``node`` along the trie path,
+        checked against every node on the way (see the module
+        docstring)."""
+        path = []
+        while node.parent is not None:
+            path.append(node)
+            node = node.parent
+        path.append(node)
+        generator = self.factory(self.context)
+        for received, step in enumerate(reversed(path)):
+            try:
+                op = generator.send(step.result)
+            except StopIteration:
+                replayed = "returned"
+            else:
+                replayed = f"yielded {op!r}"
+                if not step.halted and repr(op) == repr(step.pending):
+                    continue
+            first = "returned" if step.halted else f"yielded {step.pending!r}"
+            raise ProtocolError(
+                f"{self.context.pid} is not deterministic: at its automaton "
+                f"step {received}, after the same {received} result(s), it "
+                f"first {first} but a replay {replayed}"
+            )
+        return generator
+
+
+def trie_of(system: System, pid: ProcessId) -> HistoryTrie:
+    """The system's history trie of ``pid``, created on first use."""
+    trie = system.history_tries.get(pid)
+    if trie is None:
+        factories = (
+            system.c_factories if pid.is_computation else system.s_factories
+        )
+        trie = HistoryTrie(factories[pid.index], system.context_for(pid))
+        system.history_tries[pid] = trie
+    return trie
+
+
+class TrieSlot:
+    """Runtime state of one process of an exploring executor: a
+    position in the process's history trie (``None`` until a C-process
+    starts) instead of a generator."""
+
+    __slots__ = (
+        "pid", "trie", "node", "position", "pending", "halted", "started",
+        "steps",
+    )
+
+    def __init__(
+        self, pid: ProcessId, trie: HistoryTrie, position: int
+    ) -> None:
+        self.pid = pid
+        self.trie = trie
+        self.node: HistoryNode | None = None
+        #: index of the slot's fingerprint record
+        self.position = position
+        self.pending: Any = None
+        self.halted = False
+        self.started = False
+        self.steps = 0
+
+    def prime(self) -> None:
+        node = self.node = self.trie.root()
+        self.pending = node.pending
+        self.halted = node.halted

@@ -8,7 +8,10 @@ when a plain generator-driven reference, which logs every operation and
 result, reaches equal states; and symmetry pruning must keep exactly
 the candidates the reference logs say are interchangeable.  Undoing
 steps must leave an exploring executor exactly where a fresh one
-replaying the surviving path gets, in every observable.
+replaying the surviving path gets, in every observable, and where a
+plain executor (``record_results=False``) gets in memory, decisions and
+trace; and every step and undo must keep the register file's digests
+and the history tries' edges consistent.
 """
 
 from hypothesis import example, given, settings
@@ -20,7 +23,8 @@ from repro.checker import c_orbits, canonical_fingerprint, prune_interchangeable
 from repro.core import FailurePattern, System
 from repro.core.process import c_process
 from repro.core.system import null_automaton
-from repro.runtime import Executor
+from repro.memory.registers import register_term
+from repro.runtime import Executor, ops
 from repro.runtime.scheduler import ExplicitScheduler
 
 #: case name -> (C-automaton factory, input vector)
@@ -196,24 +200,124 @@ def test_fingerprints_match_reference_states(case, first, second):
         ) == _reference_prune(reference, recorder, orbits, candidates)
 
 
-#: case name -> (C-automaton factory, input vector, failure pattern):
-#: the systems above, plus crash transitions that retire S-processes
-#: mid-run
+def _prefixes(ctx):
+    """Snapshots ``s/`` while it is one bucket and after ``s/d/x`` makes
+    it span two, the partial leaf ``s/1``, the bucket ``s/d/`` and
+    ``""``; also reads, compares-and-swaps and takes a null step."""
+    me = ctx.pid.index
+    yield ops.Write(f"s/{me}", ctx.input_value)
+    view = yield ops.Snapshot("s/")
+    if me == 0:
+        yield ops.Write("s/d/x", len(view))
+    leaf = yield ops.Snapshot("s/1")
+    prior = yield ops.CompareAndSwap("cas", None, me)
+    yield ops.Nop()
+    detected = yield ops.Read("fd")
+    view = yield ops.Snapshot("s/")
+    yield ops.Write(f"s/{me}", (len(view), len(leaf), prior, detected))
+    deep = yield ops.Snapshot("s/d/")
+    everything = yield ops.Snapshot("")
+    yield ops.Decide((len(deep), len(everything)))
+
+
+def _querying(ctx):
+    """An S-automaton that publishes what the detector outputs."""
+    while True:
+        value = yield ops.QueryFD()
+        yield ops.Write("fd", value)
+
+
+class _Clock:
+    """A detector whose output at time ``t`` is ``t % 3``."""
+
+    def build_history(self, pattern, rng):
+        return self
+
+    def value(self, s_index, time):
+        return time % 3
+
+
+#: case name -> (C-automaton factory, input vector, failure pattern,
+#: S-automaton factory or None, detector or None): the systems above,
+#: plus crash transitions that retire S-processes mid-run, plus every
+#: kind of operation and of snapshot prefix
 UNDO_CASES = {
-    **{name: (factory, inputs, None) for name, (factory, inputs) in CASES.items()},
+    **{
+        name: (factory, inputs, None, None, None)
+        for name, (factory, inputs) in CASES.items()
+    },
     "figure4-crashes": (
         figure4_factory,
         (1, 1, 2),
         FailurePattern(3, (2, None, 5)),
+        None,
+        None,
     ),
+    "prefixes": (_prefixes, (1, 2, 3), None, _querying, _Clock()),
 }
 
 
 def _undo_system(case):
-    factory, inputs, pattern = UNDO_CASES[case]
+    factory, inputs, pattern, s_factory, detector = UNDO_CASES[case]
+    n = len(inputs)
     return System(
-        inputs=inputs, c_factories=[factory] * len(inputs), pattern=pattern
+        inputs=inputs,
+        c_factories=[factory] * n,
+        s_factories=None if s_factory is None else [s_factory] * n,
+        detector=detector,
+        pattern=pattern,
     )
+
+
+def _check_memory(memory):
+    """The digested register file's invariants, recomputed from its
+    cells."""
+    terms = {
+        name: register_term(name, value)
+        for name, value in memory._cells.items()
+    }
+    assert memory._terms == terms
+    assert memory.digest == sum(terms.values())
+    # Every bucket has a digest, the sum of its registers' terms, and an
+    # emptied bucket is gone with its digest.
+    assert all(memory._buckets.values())
+    assert memory._bucket_digests == {
+        key: sum(terms[name] for name in bucket)
+        for key, bucket in memory._buckets.items()
+    }
+    extended: dict = {}
+    for key in memory._buckets:
+        for cut in range(len(key) - 1):
+            if key[cut] == "/":
+                extended[key[: cut + 1]] = extended.get(key[: cut + 1], 0) + 1
+    assert memory._extended == extended
+    for prefix in {"", "s/1", *memory._buckets, *extended}:
+        digest = memory.snapshot_digest(prefix)
+        if digest is not None:
+            assert digest == sum(
+                terms[name] for name in memory.snapshot(prefix)
+            )
+
+
+def _check_tries(system):
+    """Every history-trie node has one child per distinct result, and a
+    digest-keyed snapshot edge leads to the child of a snapshot with
+    that digest."""
+    for trie in system.history_tries.values():
+        stack = [] if trie.root_node is None else [trie.root_node]
+        while stack:
+            node = stack.pop()
+            children = list(node.children.values())
+            assert [repr(child.result) for child in children] == list(
+                node.children
+            )
+            for digest, child in (node.snapshot_children or {}).items():
+                assert any(child is other for other in children)
+                assert digest == sum(
+                    register_term(name, value)
+                    for name, value in child.result.items()
+                )
+            stack.extend(children)
 
 
 def _observed(executor):
@@ -231,6 +335,25 @@ def _observed(executor):
     )
 
 
+#: p1 and p2 write ``s/0`` and ``s/1``; p2 snapshots ``s/`` (one
+#: bucket), backtracks, and snapshots it again with the same bucket once
+#: p1's ``s/d/x`` makes the prefix span two buckets
+PREFIX_REVISIT = [0, 0, 1, 1, 1, "undo", 0, 0, 1, 1, 1]
+
+
+def _plain_observed(executor):
+    """What a plain executor shows of a run, in common with an exploring
+    one."""
+    return (
+        executor.time,
+        list(executor.memory.snapshot("").items()),
+        executor.decisions,
+        executor.schedulable(),
+        executor.started_c,
+        executor.trace.events,
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     case=st.sampled_from(sorted(UNDO_CASES)),
@@ -240,9 +363,11 @@ def _observed(executor):
 )
 @example(case="figure4-crashes", actions=[0] * 8 + ["undo"] * 8 + [1] * 8)
 @example(case="kset", actions=[0] * 6 + ["undo"] * 3)
+@example(case="prefixes", actions=PREFIX_REVISIT)
 def test_step_undo_matches_fresh_replay(case, actions):
     # Any interleaving of steps and undos must leave the executor
-    # exactly where a fresh executor stepping the surviving path gets.
+    # exactly where a fresh executor stepping the surviving path gets,
+    # and where a plain one does in memory, decisions and trace.
     executor = Executor(
         _undo_system(case),
         ExplicitScheduler([], strict=False),
@@ -257,19 +382,26 @@ def test_step_undo_matches_fresh_replay(case, actions):
             if path:
                 executor.undo()
                 path.pop()
-            continue
-        candidates = executor.schedulable()
-        if candidates:
-            pid = candidates[action % len(candidates)]
-            executor.step(pid)
-            path.append(pid)
+        else:
+            candidates = executor.schedulable()
+            if candidates:
+                pid = candidates[action % len(candidates)]
+                executor.step(pid)
+                path.append(pid)
+        _check_memory(executor.memory)
+        _check_tries(executor.system)
     fresh = Executor(
         _undo_system(case),
         ExplicitScheduler([], strict=False),
         trace=True,
         record_results=True,
     )
+    plain = Executor(
+        _undo_system(case), ExplicitScheduler([], strict=False), trace=True
+    )
     for pid in path:
         fresh.step(pid)
+        plain.step(pid)
     assert _observed(executor) == _observed(fresh)
     assert executor.trace.events == fresh.trace.events
+    assert _plain_observed(executor) == _plain_observed(plain)

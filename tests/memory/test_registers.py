@@ -4,7 +4,11 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.memory import RegisterFile, apply_operation
-from repro.memory.registers import UNWRITTEN, DigestedRegisterFile
+from repro.memory.registers import (
+    UNWRITTEN,
+    DigestedRegisterFile,
+    register_term,
+)
 from repro.runtime import ops
 
 
@@ -85,6 +89,25 @@ class TestDigestedRegisterFile:
         assert len(mem) == 0
         assert mem.snapshot("") == {} and mem.snapshot("a/") == {}
         assert mem.digest == 0 and mem.term("a/0") == 0
+
+
+    def test_snapshot_digest_names_one_bucket_prefixes(self):
+        mem = DigestedRegisterFile()
+        mem.write("a/0", 1)
+        mem.write("a/1", 2)
+        mem.write("r", 3)
+        digest = mem.snapshot_digest("a/")
+        assert digest == register_term("a/0", 1) + register_term("a/1", 2)
+        # A partial leaf, the whole memory, an unwritten bucket.
+        for prefix in ("a/1", "", "b/"):
+            assert mem.snapshot_digest(prefix) is None
+        # A deeper register makes "a/" span two buckets, until reverted.
+        mem.write("a/b/0", 4)
+        assert mem.snapshot_digest("a/") is None
+        assert mem.snapshot_digest("a/b/") == register_term("a/b/0", 4)
+        mem.revert(*mem.last_write)
+        assert mem.snapshot_digest("a/") == digest
+        assert mem.snapshot_digest("a/b/") is None
 
 
 class TestApplyOperation:
