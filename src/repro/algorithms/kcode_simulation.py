@@ -131,46 +131,63 @@ def figure2_c_factory(spec: F2Spec, simulator_index: int):
 
     def factory(ctx: ProcessContext):
         me = simulator_index
-        yield ops.Write(spec.active_register(me), 1)
+        k = spec.k
+        active_register = spec.active_register(me)
+        result_register = (
+            None if spec.result_register is None else spec.result_register(me)
+        )
+        yield ops.Write(active_register, 1)
         yield ops.Write(spec.ever_register(me), 1)
         replica = spec.make_replica()
+        # What changes only per log instance, or per registration
+        # change, is derived once, not once per poll.
         t = 0
+        decision = paxos.decision_register(spec.log_instance(t))
+        active_prefix = f"{spec.name}/R/"
+        cut = len(active_prefix)
+        parsed = None  # the registration snapshot ``active`` was parsed from
+        active: list[int] = []
         ballot_round = 0
         waited = 0
         backoff = 0
         mirrored: set[int] = set()
         while True:
             # Depart as soon as our own result exists (Figure 2 line 28).
-            if spec.result_register is not None:
-                value = replica.memory.read(spec.result_register(me))
+            if result_register is not None:
+                value = replica.memory.read(result_register)
                 if value is not None:
-                    yield ops.Write(spec.active_register(me), "departed")
+                    yield ops.Write(active_register, "departed")
                     yield ops.Decide(value)
                     return
             # Mirror simulated decisions for observers.
-            for j in range(spec.k):
-                if j not in mirrored and j in replica.decided:
-                    yield ops.Write(
-                        spec.mirror_register(j), replica.decisions[j]
-                    )
-                    mirrored.add(j)
-            # Catch up on the agreed log.
-            entry = yield from paxos.read_decision(spec.log_instance(t))
-            if entry is not None:
-                _apply_entry(spec, replica, entry)
+            if len(mirrored) < k:
+                for j in range(k):
+                    if j not in mirrored and j in replica.decisions:
+                        yield ops.Write(
+                            spec.mirror_register(j), replica.decisions[j]
+                        )
+                        mirrored.add(j)
+            # Catch up on the agreed log (``paxos.read_decision``, with
+            # the decision register named once per instance).
+            cell = yield ops.Read(decision)
+            if cell is not None:
+                _apply_entry(spec, replica, cell[1])
                 t += 1
+                decision = paxos.decision_register(spec.log_instance(t))
                 ballot_round = 0
                 waited = 0
                 backoff = 0
                 continue
             # Lead while few simulators are registered.
-            active_cells = yield ops.Snapshot(f"{spec.name}/R/")
-            active = sorted(
-                int(name[len(f"{spec.name}/R/"):])
-                for name, value in active_cells.items()
-                if value == 1
-            )
-            if len(active) <= spec.k and me in active:
+            active_cells = yield ops.Snapshot(active_prefix)
+            if active_cells != parsed:
+                parsed = active_cells
+                active = sorted(
+                    int(name[cut:])
+                    for name, value in active_cells.items()
+                    if value == 1
+                )
+            if len(active) <= k and me in active:
                 j = active.index(me)
                 # Defer to lower-ranked leaders first, and after an
                 # aborted proposal hold back for a stretch that grows
@@ -214,21 +231,24 @@ def figure2_s_factory(spec: F2Spec, s_index: int):
     def factory(ctx: ProcessContext):
         me = s_index
         slot = spec.n + me
+        ever_prefix = f"{spec.name}/Rever/"
         t = 0
+        decision = paxos.decision_register(spec.log_instance(t))
         ballot_round = 0
         waited = 0
         backoff = 0
         while True:
             advice = yield ops.QueryFD()
             vector = advice if isinstance(advice, tuple) else (advice,)
-            entry = yield from paxos.read_decision(spec.log_instance(t))
-            if entry is not None:
+            cell = yield ops.Read(decision)
+            if cell is not None:
                 t += 1
+                decision = paxos.decision_register(spec.log_instance(t))
                 ballot_round = 0
                 waited = 0
                 backoff = 0
                 continue
-            ever_cells = yield ops.Snapshot(f"{spec.name}/Rever/")
+            ever_cells = yield ops.Snapshot(ever_prefix)
             ell = len(ever_cells)
             limit = min(spec.k, ell)
             positions = [

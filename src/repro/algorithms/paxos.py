@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..memory.collect import collect_array
 from ..runtime import ops
 
 #: Value used to mark "no decision yet" in decision registers.  ``None``
@@ -45,11 +44,9 @@ class Block:
     val: Any
 
 
-def _block_register(name: str, slot: int) -> str:
-    return f"{name}/blk/{slot}"
-
-
-def _decision_register(name: str) -> str:
+def decision_register(name: str) -> str:
+    """The register holding instance ``name``'s decision: ``None`` until
+    decided, then ``("decided", value)``."""
     return f"{name}/dec"
 
 
@@ -60,7 +57,7 @@ def make_ballot(round_number: int, slot: int, n_slots: int) -> int:
 
 def read_decision(name: str):
     """Subroutine: the decided value, or ``None`` if undecided."""
-    cell = yield ops.Read(_decision_register(name))
+    cell = yield ops.Read(decision_register(name))
     if cell is None:
         return None
     return cell[1]
@@ -75,18 +72,24 @@ def propose(name: str, slot: int, n_slots: int, ballot: int, value: Any):
     """
     if value is None:
         raise ValueError("cannot propose None")
-    # A decision may already exist; adopt it.
-    existing = yield from read_decision(name)
-    if existing is not None:
-        return existing
+    # A decision may already exist; adopt it.  Register names are built
+    # once per proposal: the decision register is read and written, and
+    # every block is read twice.
+    decision = decision_register(name)
+    cell = yield ops.Read(decision)
+    if cell is not None:
+        return cell[1]
+    block_registers = [f"{name}/blk/{i}" for i in range(n_slots)]
+    own_block = f"{name}/blk/{slot}"
     # Phase 1: announce the ballot on our own block.
-    own: Block | None = yield ops.Read(_block_register(name, slot))
+    own: Block | None = yield ops.Read(own_block)
     bal = own.bal if own is not None else 0
     val = own.val if own is not None else None
-    yield ops.Write(
-        _block_register(name, slot), Block(mbal=ballot, bal=bal, val=val)
-    )
-    blocks = yield from collect_array(f"{name}/blk/", n_slots)
+    yield ops.Write(own_block, Block(mbal=ballot, bal=bal, val=val))
+    blocks = []
+    for register in block_registers:
+        block = yield ops.Read(register)
+        blocks.append(block)
     if any(
         b is not None and (b.mbal > ballot or b.bal > ballot) for b in blocks
     ):
@@ -95,14 +98,14 @@ def propose(name: str, slot: int, n_slots: int, ballot: int, value: Any):
     accepted = [b for b in blocks if b is not None and b.bal > 0]
     chosen = max(accepted, key=lambda b: b.bal).val if accepted else value
     # Phase 2: accept.
-    yield ops.Write(
-        _block_register(name, slot),
-        Block(mbal=ballot, bal=ballot, val=chosen),
-    )
-    blocks = yield from collect_array(f"{name}/blk/", n_slots)
+    yield ops.Write(own_block, Block(mbal=ballot, bal=ballot, val=chosen))
+    blocks = []
+    for register in block_registers:
+        block = yield ops.Read(register)
+        blocks.append(block)
     if any(b is not None and b.mbal > ballot for b in blocks):
         return None
-    yield ops.Write(_decision_register(name), (_DECIDED, chosen))
+    yield ops.Write(decision, (_DECIDED, chosen))
     return chosen
 
 

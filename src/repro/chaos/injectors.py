@@ -19,7 +19,12 @@ safety claims:
 * **Schedules** — :class:`~repro.runtime.scheduler.Scheduler` wrappers
   (burst starvation, decided-process shadowing, priority inversion)
   that only ever pick from the executor's schedulable candidates, so
-  every mutated schedule is an admissible interleaving.
+  every mutated schedule is an admissible interleaving.  Each one picks
+  through :meth:`~repro.runtime.scheduler.SegmentScheduler.segment`:
+  the rest of its current window (a starvation or free stretch, a
+  shadow, the run of inverted picks up to the next relief turn), over
+  the candidates that window allows, as the inner scheduler's segment
+  cut to that length.  ``next()`` is one pick of that segment.
 """
 
 from __future__ import annotations
@@ -33,10 +38,13 @@ from ..core.history import History
 from ..detectors.base import FailureDetector
 from ..errors import SpecificationError
 from ..runtime.scheduler import (
+    FIXED,
     Exclusion,
     RoundRobinScheduler,
     Scheduler,
     SchedulerView,
+    Segment,
+    SegmentScheduler,
 )
 
 # -- crash injectors ----------------------------------------------------
@@ -214,7 +222,7 @@ class PerturbedDetector(FailureDetector):
 # -- scheduler mutators ------------------------------------------------
 
 
-class BurstStarvationScheduler(Scheduler):
+class BurstStarvationScheduler(SegmentScheduler):
     """Starves a seeded-random victim subset for ``burst`` out of every
     ``period`` steps, re-drawing the victims each window.
 
@@ -222,6 +230,11 @@ class BurstStarvationScheduler(Scheduler):
     victim set, the rotating choice exercises *every* process's slow-path
     over a long run while each individual burst is finite, so fairness
     holds in the limit.
+
+    A segment is the rest of the current starvation (phase below
+    ``burst``) or free stretch, over the candidates without the victims
+    or all of them; the victims are drawn when a segment starts at
+    phase 0, from that segment's candidates.
     """
 
     def __init__(
@@ -242,20 +255,27 @@ class BurstStarvationScheduler(Scheduler):
         self._victims: frozenset = frozenset()
         self._exclude = Exclusion()
 
-    def next(self, view: SchedulerView):
+    def segment(self, view: SchedulerView) -> Segment:
         self._require(view)
         phase = self._turn % self.period
-        self._turn += 1
         if phase == 0:
             pool = sorted(view.candidates)
             size = self._rng.randrange(1, max(2, len(pool)))
             self._victims = frozenset(self._rng.sample(pool, size))
         if phase < self.burst:
+            left = self.burst - phase
             view = self._exclude(view, self._victims)
-        return self._inner.next(view)
+        else:
+            left = self.period - phase
+        length, kind, pool, state = self._inner.segment(view)
+        return min(left, length), kind, pool, state
+
+    def advance(self, n: int) -> None:
+        self._turn += n
+        self._inner.advance(n)
 
 
-class DecidedShadowScheduler(Scheduler):
+class DecidedShadowScheduler(SegmentScheduler):
     """Shadows the surviving started C-processes right after a decision.
 
     Each time the decided set grows, the C-processes that had already
@@ -263,6 +283,10 @@ class DecidedShadowScheduler(Scheduler):
     the moment one process completes, its undecided contemporaries lose
     their helpers.  This targets helping/adoption protocols whose safety
     argument leans on the state a deciding process leaves behind.
+
+    A segment is the rest of the current shadow, over the candidates
+    without the shadowed processes, or (no shadow left) the inner
+    scheduler's whole segment.
     """
 
     def __init__(
@@ -277,7 +301,7 @@ class DecidedShadowScheduler(Scheduler):
         self._shadow_left = 0
         self._exclude = Exclusion()
 
-    def next(self, view: SchedulerView):
+    def segment(self, view: SchedulerView) -> Segment:
         self._require(view)
         if view.decided != self._seen_decided:
             self._shadowed = frozenset(
@@ -289,18 +313,29 @@ class DecidedShadowScheduler(Scheduler):
             )
             self._shadow_left = self.shadow
             self._seen_decided = view.decided
-        if self._shadow_left > 0:
-            self._shadow_left -= 1
-            view = self._exclude(view, self._shadowed)
-        return self._inner.next(view)
+        left = self._shadow_left
+        if not left:
+            return self._inner.segment(view)
+        length, kind, pool, state = self._inner.segment(
+            self._exclude(view, self._shadowed)
+        )
+        return min(left, length), kind, pool, state
+
+    def advance(self, n: int) -> None:
+        if self._shadow_left:
+            self._shadow_left -= n
+        self._inner.advance(n)
 
 
-class PriorityInversionScheduler(Scheduler):
+class PriorityInversionScheduler(SegmentScheduler):
     """Inverts the natural scheduling order most of the time.
 
     Picks the *last* candidate in process order (highest-index S-process
     first territory) on every step except each ``relief``-th, which
     falls back to round-robin so starvation stays finite.
+
+    A segment is ``max(candidates)`` up to the next relief turn, or on
+    a relief turn one pick of the fallback round-robin.
     """
 
     def __init__(self, *, relief: int = 7) -> None:
@@ -310,9 +345,15 @@ class PriorityInversionScheduler(Scheduler):
         self._turn = 0
         self._fallback = RoundRobinScheduler()
 
-    def next(self, view: SchedulerView):
+    def segment(self, view: SchedulerView) -> Segment:
         self._require(view)
-        self._turn += 1
-        if self._turn % self.relief == 0:
-            return self._fallback.next(view)
-        return max(view.candidates)
+        phase = (self._turn + 1) % self.relief  # of the segment's first pick
+        if phase:
+            return self.relief - phase, FIXED, max(view.candidates), None
+        _length, kind, pool, state = self._fallback.segment(view)
+        return 1, kind, pool, state
+
+    def advance(self, n: int) -> None:
+        if not (self._turn + 1) % self.relief:
+            self._fallback.advance(n)
+        self._turn += n

@@ -47,9 +47,10 @@ a statically resolvable module-level generator function, its body is
 per-inline-site prefix, parameters become assignments evaluated in call
 order, ``return expr`` plumbs through a per-frame result temp, and the
 callee's module globals are read through an injected reference to its
-live ``__globals__``.  Inlining recurses (``propose`` →
-``collect_array``) with a call-depth guard; recursive delegation and
-anything unresolvable (e.g. ``yield from agreement.resolve()`` on a
+live ``__globals__``.  Inlining recurses (a subroutine that delegates
+to ``collect_array`` is inlined with it) with a call-depth guard;
+recursive delegation and anything unresolvable (e.g. ``yield from
+agreement.resolve()`` on a
 runtime-typed object) drops to the second tier: a *delegate site* that
 drives the sub-iterator with the interpreter's exact PEP-380 protocol
 and operation dispatch, still inside the compiled step function.

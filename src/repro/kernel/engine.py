@@ -25,8 +25,10 @@ Structure of a run:
 * the advance loop is specialized per scheduler: round-robin and
   seeded-random runs skip :class:`SchedulerView` construction entirely
   (their picks are provably identical over the maintained candidate
-  list), every other scheduler — and every traced run — goes through
-  the general view-building loop.
+  list); every other scheduler goes through the general loop, which
+  builds a view only to ask for a segment of picks
+  (:meth:`~repro.runtime.scheduler.Scheduler.segment`) and takes the
+  segment until it runs out or the view changes.
 
 ``advance(limit)`` steps at most ``limit`` scheduler turns, which is
 what lets :mod:`repro.kernel.lanes` interleave many runs in lockstep.
@@ -45,6 +47,8 @@ from ..memory.registers import RegisterFile
 from ..runtime import ops
 from ..runtime.executor import Executor, execute
 from ..runtime.scheduler import (
+    FIXED,
+    ROUND_ROBIN,
     RoundRobinScheduler,
     Scheduler,
     SchedulerView,
@@ -595,11 +599,17 @@ class CompiledRun:
         return False
 
     def _advance_general(self, limit: int | None) -> bool:
+        """The advance loop for every other scheduler, consuming its
+        segments as :meth:`Executor.run` does: a segment is cut when a
+        crash time passes, a process halts or decides, a C-process
+        starts, or this call returns, and the picks taken are reported
+        through ``advance`` before the next segment is asked for."""
         live = self._live
         counts = self._counts
         undecided = self._undecided
         max_steps = self.max_steps
         scheduler = self.scheduler
+        segment = scheduler.segment
         by_pid = self._by_pid
         participants = self.system.participants
         queue = self._crash_queue
@@ -611,8 +621,13 @@ class CompiledRun:
         end = max_steps if limit is None else min(max_steps, time + limit)
         next_crash = queue[pos][0] if pos < qlen else max_steps + 1
         # ``live`` only ever shrinks (finish/crash), so a length check is
-        # enough to keep the candidates tuple fresh across steps.
+        # enough to keep the candidates tuple fresh across segments.
         cands = tuple(entry[0] for entry in live)
+        # The open segment, as in Executor.run.
+        length = left = n = k = 0
+        kind = FIXED
+        pool = state = fixed = None
+        entries: list[list] = []
         finished = None
         while True:
             if time >= max_steps:
@@ -626,25 +641,48 @@ class CompiledRun:
                 break
             if time >= end:
                 break
-            if self._started_frozen is None:
-                self._started_frozen = frozenset(self._started)
-            if self._decided_frozen is None:
-                self._decided_frozen = frozenset(self._decisions)
-            if len(cands) != len(live):
-                cands = tuple(entry[0] for entry in live)
-            view = SchedulerView(
-                time,
-                cands,
-                self._started_frozen,
-                self._decided_frozen,
-                participants,
-            )
-            try:
-                pid = scheduler.next(view)
-            except SchedulingError:
-                finished = "schedule_exhausted"
-                break
-            entry = by_pid[pid]
+            if not left:
+                if length:
+                    scheduler.advance(length)
+                    length = 0
+                if self._started_frozen is None:
+                    self._started_frozen = frozenset(self._started)
+                if self._decided_frozen is None:
+                    self._decided_frozen = frozenset(self._decisions)
+                if len(cands) != len(live):
+                    cands = tuple(entry[0] for entry in live)
+                try:
+                    left, kind, picks, state = segment(
+                        SchedulerView(
+                            time,
+                            cands,
+                            self._started_frozen,
+                            self._decided_frozen,
+                            participants,
+                        )
+                    )
+                except SchedulingError:
+                    finished = "schedule_exhausted"
+                    break
+                length = left
+                if kind == FIXED:
+                    fixed = by_pid[picks]
+                elif picks is not pool:
+                    pool = picks
+                    entries = [by_pid[pid] for pid in pool]
+                    n = len(entries)
+                    k = n.bit_length()
+            left -= 1
+            if kind == FIXED:
+                entry = fixed
+            elif kind == ROUND_ROBIN:
+                entry = entries[state % n]
+                state += 1
+            else:
+                r = state(k)
+                while r >= n:
+                    r = state(k)
+                entry = entries[r]
             status = entry[2](time)
             counts[entry[1]] += 1
             if events is not None:
@@ -655,8 +693,17 @@ class CompiledRun:
                 self._retire_crashes(live, time)
                 pos = self._crash_pos
                 next_crash = queue[pos][0] if pos < qlen else max_steps + 1
+                length -= left
+                left = 0
             if status:
                 self._finish_step(entry, status, live, time)
+                length -= left
+                left = 0
+            elif self._started_frozen is None:  # a C-process started
+                length -= left
+                left = 0
+        if length:
+            scheduler.advance(length - left)
         self._crash_pos = pos
         self.time = time
         if finished is not None:

@@ -303,14 +303,24 @@ class DigestedRegisterFile(RegisterFile):
             cut = key.find("/", cut + 1)
 
 
+#: :mod:`repro.runtime.ops`, imported by the first :func:`apply_operation`
+#: call and cached here (the runtime imports this module, so importing
+#: it at load time would be circular).
+_ops: Any = None
+
+
 def apply_operation(memory: RegisterFile, op: "ops.Operation") -> Any:
     """Apply one memory operation atomically and return its result.
 
     ``QueryFD`` and ``Decide`` are not memory operations and must be
     handled by the caller; passing them here is a protocol violation.
     """
-    from ..runtime import ops
+    global _ops
+    ops = _ops
+    if ops is None:
+        from ..runtime import ops
 
+        _ops = ops
     if isinstance(op, ops.Read):
         return memory.read(op.register)
     if isinstance(op, ops.Write):

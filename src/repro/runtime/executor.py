@@ -30,8 +30,8 @@ allocated when tracing is on.
 inline over the sorted candidate list — the same pick, from the same
 cursor or RNG stream, as the scheduler's own ``next()`` (see
 :meth:`run`) — and builds no :class:`SchedulerView`; every other
-scheduler gets a view whose candidates tuple is rebuilt only when the
-list shrinks.  The common operations are performed and the generator
+scheduler hands it segments of picks (:meth:`Scheduler.segment`), one
+view per segment.  The common operations are performed and the generator
 resumed inline; a C-process's first step, a decision and any unusual
 operation take the step-by-step path (:meth:`_step`, which
 :meth:`step` uses), so the loop's operation dispatch duplicates only
@@ -88,6 +88,8 @@ from ..memory.registers import (
 )
 from . import ops
 from .scheduler import (
+    FIXED,
+    ROUND_ROBIN,
     RoundRobinScheduler,
     Scheduler,
     SchedulerView,
@@ -722,8 +724,9 @@ class Executor:
         below ``n``: ``random.Random.choice`` picks
         ``seq[_randbelow(len(seq))]`` with exactly those draws, so the
         inline pick consumes the identical RNG stream.  The cursor is
-        written back when the loop ends; subclasses of either scheduler
-        get views, like every other scheduler.
+        written back when the loop ends.  Every other scheduler hands
+        out segments, which each resync (the view may change) cuts;
+        ``advance`` reports the picks taken before the next segment.
         """
         slots = self._slots
         schedulable = self._schedulable
@@ -750,7 +753,13 @@ class Executor:
         getrandbits = (
             scheduler._rng.getrandbits if kind is SeededRandomScheduler else None
         )
-        pick = scheduler.next
+        segment = scheduler.segment
+        # The open segment: ``left`` of its ``length`` picks remain (a
+        # cut sets ``length`` to the picks taken and ``left`` to 0).
+        length = left = seg_n = seg_k = 0
+        seg_kind = FIXED
+        seg_pool = seg_state = seg_slot = None
+        seg_slots: list[_ProcessSlot] = []
         Read, Write, Snapshot = ops.Read, ops.Write, ops.Snapshot
         Nop, QueryFD, CompareAndSwap = ops.Nop, ops.QueryFD, ops.CompareAndSwap
         # What the loop reads of the executor's own state, re-read at
@@ -765,6 +774,8 @@ class Executor:
         try:
             while time < max_steps:
                 if time >= resync_at:
+                    length -= left
+                    left = 0
                     self._retire_crashed(time)
                     resync_at = (
                         queue[self._crash_pos][0]
@@ -801,16 +812,40 @@ class Executor:
                     slot = live[r]
                     pid = slot.pid
                 else:
-                    try:
-                        pid = pick(
-                            SchedulerView(
-                                time, cands, started_c, decided_c, participants
+                    if not left:
+                        if length:
+                            scheduler.advance(length)
+                            length = 0
+                        try:
+                            left, seg_kind, picks, seg_state = segment(
+                                SchedulerView(
+                                    time, cands, started_c, decided_c,
+                                    participants,
+                                )
                             )
-                        )
-                    except SchedulingError:
-                        reason = "schedule_exhausted"
-                        break
-                    slot = slots[pid]
+                        except SchedulingError:
+                            reason = "schedule_exhausted"
+                            break
+                        length = left
+                        if seg_kind == FIXED:
+                            seg_slot = slots[picks]
+                        elif picks is not seg_pool:
+                            seg_pool = picks
+                            seg_slots = [slots[pid] for pid in picks]
+                            seg_n = len(seg_slots)
+                            seg_k = seg_n.bit_length()
+                    left -= 1
+                    if seg_kind == FIXED:
+                        slot = seg_slot
+                    elif seg_kind == ROUND_ROBIN:
+                        slot = seg_slots[seg_state % seg_n]
+                        seg_state += 1
+                    else:
+                        r = seg_state(seg_k)
+                        while r >= seg_n:
+                            r = seg_state(seg_k)
+                        slot = seg_slots[r]
+                    pid = slot.pid
                 op = slot.pending
                 op_type = None if exploring else type(op)
                 # _step's exact-type dispatch, minus its cold branches;
@@ -855,6 +890,8 @@ class Executor:
             self._retire_crashed(time)
             if round_robin:
                 scheduler._cursor = cursor
+            elif length:
+                scheduler.advance(length - left)
         return self.result(reason)
 
     def _budget_digest(self) -> str:

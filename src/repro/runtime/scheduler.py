@@ -9,13 +9,45 @@ paper is universal over schedules.
 
 A scheduler sees a :class:`SchedulerView` (the candidates it may pick
 from plus progress bookkeeping) and returns one process id.
+
+Segments
+--------
+Run loops do not ask for one pick per step.  :meth:`Scheduler.segment`
+hands out a *segment*: a window of picks that stays valid for as long
+as the view, apart from its time, does not change.  A segment is a
+tuple ``(length, kind, pool, state)`` of one of three kinds:
+
+* :data:`ROUND_ROBIN` — ``pool`` is a sorted sequence and ``state`` a
+  cursor; pick ``i`` of the segment is ``pool[(state + i) % len(pool)]``;
+* :data:`SEEDED` — ``pool`` is a sorted sequence and ``state`` an RNG's
+  ``getrandbits``; each pick is ``pool[r]`` for the first draw
+  ``r = getrandbits(len(pool).bit_length())`` below ``len(pool)``,
+  the draws ``random.Random.choice`` makes;
+* :data:`FIXED` — ``pool`` is the one process every pick names.
+
+A pool is never mutated once handed out, so a consumer may keep what
+it derives from one pool object for as long as it holds it.  The
+consumer takes at least one and at most ``length`` picks, and
+reports them with :meth:`Scheduler.advance` before it asks for the
+next segment.  It cuts a segment short whenever the view changes (a
+process is retired, starts or decides, or a crash time passes), so a
+segment only ever has to describe picks over the view it was given.
+:class:`SegmentScheduler`'s :meth:`~SegmentScheduler.next` is one pick
+of a segment, so the picks are the same whether a run loop consumes
+segments or calls ``next()`` once per step.  The five built-in
+schedulers of the campaign registry — round-robin, seeded-random,
+burst starvation, decided-process shadowing and priority inversion —
+pick only through their segments; every other scheduler implements
+``next()`` and inherits a one-pick :data:`FIXED` segment from
+:class:`Scheduler`.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import NamedTuple, Sequence
+from sys import maxsize
+from typing import Any, NamedTuple, Sequence
 
 from ..core.process import ProcessId
 from ..errors import SchedulingError
@@ -24,8 +56,8 @@ from ..errors import SchedulingError
 class SchedulerView(NamedTuple):
     """What a scheduler may observe when choosing the next step.
 
-    Immutable, and cheap to build: the interpreter's run loop makes one
-    per step for every scheduler it does not pick for inline (see
+    Immutable, and cheap to build: the run loops make one per segment
+    for every scheduler they do not pick for inline (see
     :meth:`repro.runtime.executor.Executor.run`).  Wrappers narrow a
     view with :func:`narrow` or an :class:`Exclusion`.
 
@@ -93,12 +125,32 @@ class Exclusion:
         return narrow(view, self._kept)
 
 
+#: Segment kinds (see the module docstring).
+ROUND_ROBIN, SEEDED, FIXED = 0, 1, 2
+#: The length of a segment that lasts until the view changes.
+UNBOUNDED = maxsize
+
+#: ``(length, kind, pool, state)``
+Segment = tuple[int, int, Any, Any]
+
+
 class Scheduler(ABC):
-    """Base class; subclasses implement :meth:`next`."""
+    """Base class; subclasses implement :meth:`next`, or
+    :class:`SegmentScheduler`'s :meth:`~SegmentScheduler.segment` and
+    :meth:`~SegmentScheduler.advance`."""
 
     @abstractmethod
     def next(self, view: SchedulerView) -> ProcessId:
         """Pick one of ``view.candidates``."""
+
+    def segment(self, view: SchedulerView) -> Segment:
+        """The picks to take over ``view``: by default the one pick
+        :meth:`next` makes."""
+        return 1, FIXED, self.next(view), None
+
+    def advance(self, n: int) -> None:
+        """``n`` picks of the last segment were taken (nothing to do
+        for a one-pick segment: :meth:`next` has already moved on)."""
 
     @staticmethod
     def _require(view: SchedulerView) -> None:
@@ -106,46 +158,84 @@ class Scheduler(ABC):
             raise SchedulingError("no schedulable process")
 
 
-class RoundRobinScheduler(Scheduler):
+class SegmentScheduler(Scheduler):
+    """A scheduler that picks only through its segments: :meth:`next`
+    is the first pick of :meth:`segment`, followed by ``advance(1)``.
+    Run loops never call ``next()`` on one, so a subclass changes its
+    picks through :meth:`segment` and :meth:`advance`, not ``next()``.
+    """
+
+    @abstractmethod
+    def segment(self, view: SchedulerView) -> Segment:
+        """The window of picks over ``view`` (see the module docstring);
+        raises :class:`SchedulingError` when there is no candidate."""
+
+    @abstractmethod
+    def advance(self, n: int) -> None:
+        """``n`` picks (at least one, at most the segment's length) of
+        the last segment were taken."""
+
+    def next(self, view: SchedulerView) -> ProcessId:
+        _length, kind, pool, state = self.segment(view)
+        if kind == FIXED:
+            choice = pool
+        elif kind == ROUND_ROBIN:
+            choice = pool[state % len(pool)]
+        else:
+            n = len(pool)
+            k = n.bit_length()
+            r = state(k)
+            while r >= n:
+                r = state(k)
+            choice = pool[r]
+        self.advance(1)
+        return choice
+
+
+class _SortedCandidates:
+    """Identity-keyed sort cache: callers that reuse one candidates
+    tuple across segments (the run loops do, until the set changes)
+    skip the re-sort; a fresh tuple always misses.  Holding the key
+    tuple keeps its id() from being recycled."""
+
+    _last_cands: tuple[ProcessId, ...] | None = None
+    _last_sorted: list[ProcessId] = []
+
+    def _sorted(self, view: SchedulerView) -> list[ProcessId]:
+        cands = view.candidates
+        if cands is not self._last_cands:
+            if not cands:
+                raise SchedulingError("no schedulable process")
+            self._last_cands = cands
+            self._last_sorted = sorted(cands)
+        return self._last_sorted
+
+
+class RoundRobinScheduler(_SortedCandidates, SegmentScheduler):
     """Cycles through all processes in a fixed order, skipping the
     currently non-schedulable ones.  Maximally fair."""
 
     def __init__(self) -> None:
         self._cursor = 0
-        self._last_cands: tuple[ProcessId, ...] | None = None
-        self._last_sorted: list[ProcessId] = []
 
-    def next(self, view: SchedulerView) -> ProcessId:
-        self._require(view)
-        # Identity-keyed sort cache: callers that reuse one candidates
-        # tuple across steps (the compiled kernel's batched lanes) skip
-        # the per-step re-sort; a fresh tuple always misses.  Holding
-        # the key tuple keeps its id() from being recycled.
-        cands = view.candidates
-        if cands is not self._last_cands:
-            self._last_cands = cands
-            self._last_sorted = sorted(cands)
-        ordered = self._last_sorted
-        choice = ordered[self._cursor % len(ordered)]
-        self._cursor += 1
-        return choice
+    def segment(self, view: SchedulerView) -> Segment:
+        return UNBOUNDED, ROUND_ROBIN, self._sorted(view), self._cursor
+
+    def advance(self, n: int) -> None:
+        self._cursor += n
 
 
-class SeededRandomScheduler(Scheduler):
+class SeededRandomScheduler(_SortedCandidates, SegmentScheduler):
     """Uniformly random among candidates, reproducible via the seed."""
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self._last_cands: tuple[ProcessId, ...] | None = None
-        self._last_sorted: list[ProcessId] = []
 
-    def next(self, view: SchedulerView) -> ProcessId:
-        self._require(view)
-        cands = view.candidates
-        if cands is not self._last_cands:  # identity cache, as above
-            self._last_cands = cands
-            self._last_sorted = sorted(cands)
-        return self._rng.choice(self._last_sorted)
+    def segment(self, view: SchedulerView) -> Segment:
+        return UNBOUNDED, SEEDED, self._sorted(view), self._rng.getrandbits
+
+    def advance(self, n: int) -> None:
+        pass  # the consumer's draws have moved the RNG on
 
 
 class AdversarialScheduler(Scheduler):

@@ -14,6 +14,7 @@ from repro.kernel import (
     dump_all,
     dump_source,
 )
+from repro.memory import collect_array
 from repro.runtime import RoundRobinScheduler, ops
 
 
@@ -38,6 +39,17 @@ def sub_with_return(ctx, base):
 def delegating_with_result(ctx):
     got = yield from sub_with_return(ctx, 10)
     yield ops.Decide(got)
+
+
+def collect_then_sum(ctx, size):
+    view = yield from collect_array("n/", size)
+    return sum(value or 0 for value in view)
+
+
+def nested_delegating(ctx):
+    yield ops.Write(f"n/{ctx.pid.index}", ctx.pid.index + 1)
+    total = yield from collect_then_sum(ctx, 2)
+    yield ops.Decide(total)
 
 
 def yields_prebuilt_op(ctx):
@@ -116,6 +128,38 @@ def test_yield_from_return_value_plumbing():
         build(), RoundRobinScheduler(), max_steps=100
     )
     assert compiled.outputs == interp.outputs == (10,)
+
+
+def test_nested_delegation_inlines_every_level():
+    from repro.kernel import execute_compiled
+    from repro.runtime.executor import execute
+
+    program = compile_automaton(nested_delegating)
+    assert [site.kind for site in program.sites] == [
+        "write",
+        "read",
+        "decide",
+    ]
+    assert {name.rsplit(".", 1)[-1] for name in program.inlined} == {
+        "collect_then_sum",
+        "collect_array",
+    }
+
+    def build():
+        return System(inputs=(0, 1), c_factories=[nested_delegating] * 2)
+
+    for trace in (False, True):
+        interp = execute(
+            build(), RoundRobinScheduler(), max_steps=100, trace=trace
+        )
+        compiled = execute_compiled(
+            build(), RoundRobinScheduler(), max_steps=100, trace=trace
+        )
+        assert compiled.outputs == interp.outputs == (3, 3)
+        if trace:
+            assert [
+                (e.time, e.pid, e.op, e.result) for e in compiled.trace.events
+            ] == [(e.time, e.pid, e.op, e.result) for e in interp.trace.events]
 
 
 def test_cache_returns_same_program_object():

@@ -9,7 +9,10 @@ equal.
 * Step-by-step driving: the loop keeps its own copy of the common
   operation dispatch; driving :meth:`Executor.step` with the same
   scheduler's picks (through :meth:`Executor.view`) must give the same
-  run, for every scheduler kind of the campaign registry.
+  run, for every scheduler kind of the campaign registry.  The compiled
+  engine's general loop consumes the same scheduler segments, so under
+  the burst, shadow and inversion schedulers its runs must equal the
+  stepped ones too, also when advanced in short chunks.
 """
 
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from repro.core import System
 from repro.core.failures import FailurePattern
 from repro.errors import SchedulingError
 from repro.kernel.differential import canonical_result
+from repro.kernel.engine import CompiledRun
 from repro.runtime import (
     Executor,
     RoundRobinScheduler,
@@ -33,6 +37,7 @@ from repro.runtime import (
     ops,
 )
 from repro.runtime.concurrency import k_concurrent
+from repro.runtime.scheduler import ROUND_ROBIN, UNBOUNDED, SegmentScheduler
 
 #: The two task/detector shapes of a crash-storm campaign.
 STORM_SHAPES = (
@@ -223,6 +228,36 @@ REGISTRY_SPECS = (
 )
 
 
+class UnstartedFirst(SegmentScheduler):
+    """Round-robin over the C-processes that have not started (over all
+    candidates once every schedulable one has): unbounded segments that
+    go stale when a C-process starts, so a run loop must cut its
+    segment there."""
+
+    def __init__(self):
+        self._cursor = 0
+
+    def segment(self, view):
+        self._require(view)
+        pool = [
+            pid
+            for pid in sorted(view.candidates)
+            if pid.is_computation and pid.index not in view.started
+        ] or sorted(view.candidates)
+        return UNBOUNDED, ROUND_ROBIN, pool, self._cursor
+
+    def advance(self, n):
+        self._cursor += n
+
+
+#: The registry kinds that pick through multi-pick segments, besides
+#: the round-robin and seeded schedulers the loops pick for inline.
+SEGMENT_SPECS = tuple(
+    spec for spec in REGISTRY_SPECS
+    if spec["kind"] in ("burst", "shadow", "inversion")
+)
+
+
 def both_paths(build, make_scheduler, *, max_steps, trace, stop_when=None):
     fused = Executor(
         build(),
@@ -265,6 +300,49 @@ class TestRunEqualsStepping:
                         trace=trace,
                     )
                     assert fused == stepped, (spec, max_steps, trace)
+
+    def test_compiled_engine_on_segment_schedulers(self):
+        systems = (
+            lambda: storm_system(0, 12, (None, 1, 1)),
+            lambda: storm_system(1, 12, (4, None, 30)),
+            lambda: synthetic_system((None, 2, None, 7, 40, 1)),
+        )
+        makers = [
+            *(lambda spec=spec: build_scheduler(spec) for spec in SEGMENT_SPECS),
+            UnstartedFirst,
+        ]
+        for make in makers:
+            for build in systems:
+                for max_steps in (90, 4_000):
+                    for trace in (False, True):
+                        stepped = canonical_result(
+                            drive_stepwise(
+                                build(),
+                                make(),
+                                max_steps=max_steps,
+                                trace=trace,
+                            )
+                        )
+                        for chunk in (None, 7):
+                            run = CompiledRun(
+                                build(), make(), max_steps=max_steps, trace=trace
+                            )
+                            while not run.advance(chunk):
+                                pass
+                            assert canonical_result(run.result()) == stepped, (
+                                make(), max_steps, trace, chunk
+                            )
+
+    def test_segments_go_stale_when_a_process_starts(self):
+        for build in (
+            lambda: storm_system(1, 12, (4, None, 30)),
+            lambda: synthetic_system((None, 2, None, 7, 40, 1)),
+        ):
+            for trace in (False, True):
+                fused, stepped = both_paths(
+                    build, UnstartedFirst, max_steps=600, trace=trace
+                )
+                assert fused == stepped
 
     def test_filtered_scheduler(self):
         for trace in (False, True):
