@@ -216,9 +216,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"task       : {task.name}")
     print(f"inputs     : {inputs}")
     print(f"concurrency: {k}")
+    # A resumed report counts the checkpoint's nodes too; the rate is
+    # this invocation's own.
+    explored = report.explored - report.resumed_explored
+    this_run = f" ({explored} this run)" if args.resume else ""
     print(
-        f"explored   : {report.explored} nodes in {wall:.2f}s, "
-        f"{report.explored / wall:.0f} nodes/s (depth {args.depth})"
+        f"explored   : {report.explored} nodes{this_run} in {wall:.2f}s, "
+        f"{explored / wall:.0f} nodes/s (depth {args.depth})"
     )
     print(
         f"runs       : {report.completed_runs} completed, "

@@ -8,7 +8,7 @@ this to certify the upper-bound algorithms on small instances.
 
 Exploration is a DFS over the executor's ``schedulable()`` sets, and
 one exploring executor walks the whole of it.  Frontier entries are
-``(schedule, sleep set)`` pairs.  DFS order guarantees that the entry
+``(schedule, sleep mask)`` pairs.  DFS order guarantees that the entry
 popped next was pushed by a node on the executor's current path, so
 visiting it means undoing back to that parent — one
 :meth:`~repro.runtime.executor.Executor.undo_to` call, O(1) per step —
@@ -52,19 +52,32 @@ permutation of interchangeable processes collapse.  Sound for tasks
 that are invariant under permuting equal-input positions (all tasks in
 this repository; enforced by the differential tests).
 
+A sleep set is a bitmask over slot positions: bit ``i`` stands for the
+``i``-th process of ``system.all_pids()``.  A sleep test is a bit test,
+a child's set is the OR of the bits of the sleeping and already-taken
+branches that commute with its branch, and no set of process ids is
+built.  Masks over a handful of processes are small ints, which
+CPython shares.
+
 When ``por`` and ``dedup`` are combined, a revisited fingerprint is
 only pruned if some earlier visit carried a *subset* of the current
 sleep set — i.e. explored at least every branch this visit would.  An
 unconditional prune would be unsound (the classic sleep-sets versus
 state-caching interaction): the first visit may have skipped branches
 whose coverage was promised by siblings of *its* path, a promise that
-says nothing about the new path.
+says nothing about the new path.  The ``seen`` map keeps one mask per
+fingerprint, and a list of pairwise incomparable masks only for the
+few states visited with incomparable sleep sets; a visit that strictly
+dominates a recorded one (a proper subset of its sleep set) replaces
+it.
 
 Exploration is *preemptible*: the DFS runs over an explicit frontier
 stack (not Python recursion), so :meth:`ScheduleExplorer.check` can
 stop at a wall-clock ``deadline_s`` or on SIGINT/SIGTERM, serialize the
-frontier — pending ``(schedule, sleep set)`` nodes, the report
-counters, and the dedup ``seen`` map — to an atomic checkpoint file,
+frontier — pending ``(schedule, sleep mask)`` nodes, the report
+counters, and the dedup ``seen`` map — to an atomic checkpoint file
+(format version 4: sleep masks, and ``seen`` keyed by the executor's
+sum fingerprints; earlier versions are refused),
 and a later ``resume_from`` run replays the first saved node's schedule
 from a fresh executor and continues *exactly*: the final report of an
 interrupted-and-resumed exploration is equal, counter for counter, to
@@ -81,6 +94,7 @@ import pickle
 import signal as _signal
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from ..core.process import ProcessId
@@ -93,7 +107,7 @@ from .independence import StepFootprint, commutes, step_footprint
 from .symmetry import c_orbits, canonical_fingerprint, prune_interchangeable
 
 EXPLORER_CHECKPOINT_FORMAT = "repro-explorer-checkpoint"
-EXPLORER_CHECKPOINT_VERSION = 3
+EXPLORER_CHECKPOINT_VERSION = 4
 
 #: Explorer knobs that must match between a checkpoint and the
 #: explorer resuming from it.
@@ -125,6 +139,9 @@ class ExplorationReport:
     interrupted: bool = False
     checkpoint_path: str | None = None
     capped: bool = False
+    #: nodes a resumed run's checkpoint had already explored (0 for a
+    #: run that did not resume); ``explored`` counts them too
+    resumed_explored: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -309,15 +326,16 @@ class ScheduleExplorer:
         all built-in verdicts/systems, which are pure functions of
         their specs)."""
         report = ExplorationReport()
-        seen: dict[bytes, list[frozenset]] | None = (
+        seen: dict[bytes, int | list[int]] | None = (
             {} if self.dedup else None
         )
-        #: frontier entries: (schedule, sleep set)
-        stack: list = [((), frozenset())]
+        #: frontier entries: (schedule, sleep mask)
+        stack: list = [((), 0)]
         if resume_from is not None:
             report, stack, seen = self._load_checkpoint(resume_from)
             report.interrupted = False
             report.checkpoint_path = None
+            report.resumed_explored = report.explored
         self.current_schedule = ()
         self._system = None
         self._executor = self._fresh_executor()
@@ -350,35 +368,12 @@ class ScheduleExplorer:
                 _signal.signal(signum, previous)
         return report
 
-    def _seen_covers(
-        self,
-        seen: dict[bytes, list[frozenset]],
-        fingerprint: bytes,
-        sleep: frozenset,
-    ) -> bool:
-        """Whether an earlier visit of this state makes the current one
-        redundant, recording the current visit otherwise.  Without POR
-        every sleep set is empty and this degenerates to plain set
-        membership; with POR a prior visit only covers this one if its
-        sleep set was a subset (it explored at least as much)."""
-        prior = seen.get(fingerprint)
-        if prior is None:
-            seen[fingerprint] = [sleep]
-            return False
-        if any(s <= sleep for s in prior):
-            return True
-        # Keep the frontier minimal: drop recorded visits this one
-        # strictly dominates.
-        prior[:] = [s for s in prior if not sleep < s]
-        prior.append(sleep)
-        return False
-
     def _explore_frontier(
         self,
         stack: list,
         verdict: Callable[[Executor], bool | None],
         report: ExplorationReport,
-        seen: dict[bytes, list[frozenset]] | None,
+        seen: dict[bytes, int | list[int]] | None,
         deadline_at: float | None,
         checkpoint_path: str | None,
     ) -> None:
@@ -404,17 +399,14 @@ class ScheduleExplorer:
 
         else:
             fingerprint = executor.fingerprint
-        seen_covers = self._seen_covers
         branches_of = self._branches
         max_depth = self.max_depth
         max_runs = self.max_runs
         por = self.por
+        footprint = partial(step_footprint, executor)
+        bits = _sleep_bits(self._shared_system())
         monotonic = time.monotonic
         pop = stack.pop
-        # Equal sleep sets share one object: ``seen`` keeps the sleep set
-        # of every visit, and few of them differ.
-        awake: frozenset = frozenset()
-        sleep_sets: dict[frozenset, frozenset] = {awake: awake}
         while stack:
             if self._interrupt or (
                 deadline_at is not None and monotonic() >= deadline_at
@@ -441,7 +433,7 @@ class ScheduleExplorer:
                 step(pid)
             self.current_schedule = schedule
             if seen is not None:
-                if seen_covers(seen, fingerprint(), sleep):
+                if _seen_covers(seen, fingerprint(), sleep):
                     report.deduplicated += 1
                     continue
             report.explored += 1
@@ -459,36 +451,97 @@ class ScheduleExplorer:
             if not branches:
                 report.completed_runs += 1
                 continue
-            children: list = []
             if por and not executor.crashes_pending():
                 # Footprints must be taken *now*, while the executor
                 # still holds this node's state: the next pop moves it.
-                footprints: dict[ProcessId, StepFootprint] = {
-                    pid: step_footprint(executor, pid)
-                    for pid in {*branches, *sleep}
-                }
-                taken: list[ProcessId] = []
-                for pid in branches:
-                    if pid in sleep:
-                        report.por_pruned += 1
-                        continue
-                    pid_fp = footprints[pid]
-                    child_sleep = frozenset(
-                        t
-                        for t in sleep.union(taken)
-                        if commutes(footprints[t], pid_fp)
-                    )
-                    child_sleep = sleep_sets.setdefault(
-                        child_sleep, child_sleep
-                    )
-                    children.append((schedule + (pid,), child_sleep))
-                    taken.append(pid)
+                children, pruned = _sleep_children(
+                    schedule, branches, sleep, footprint, bits
+                )
+                report.por_pruned += pruned
             else:
                 # No POR here (disabled, or crash transitions pending —
                 # everything is dependent, so all sleepers wake).
-                for pid in branches:
-                    children.append((schedule + (pid,), awake))
+                children = [(schedule + (pid,), 0) for pid in branches]
             stack.extend(reversed(children))
+
+
+def _seen_covers(
+    seen: dict[bytes, int | list[int]], fingerprint: bytes, sleep: int
+) -> bool:
+    """Whether an earlier visit of this state makes the current one
+    redundant, recording the current visit otherwise.  Without POR
+    every sleep mask is 0 and this degenerates to plain set membership;
+    with POR a prior visit only covers this one if its sleep set was a
+    subset (it explored at least as much).
+
+    ``seen[fingerprint]`` is one mask, or, once a visit arrives that is
+    incomparable with the recorded one, a list of pairwise incomparable
+    masks.  A visit that strictly dominates recorded ones (its sleep set
+    is a proper subset of theirs) replaces them."""
+    prior = seen.get(fingerprint)
+    if prior is None:
+        seen[fingerprint] = sleep
+        return False
+    if type(prior) is int:
+        if sleep | prior == prior != sleep:
+            seen[fingerprint] = sleep
+            return False
+        if prior | sleep == sleep:
+            return True
+        seen[fingerprint] = [prior, sleep]
+        return False
+    if any(mask | sleep == sleep for mask in prior):
+        return True
+    kept = [mask for mask in prior if sleep | mask != mask]
+    kept.append(sleep)
+    seen[fingerprint] = kept[0] if len(kept) == 1 else kept
+    return False
+
+
+def _sleep_bits(system: System) -> dict[ProcessId, int]:
+    """Each process's bit in a sleep mask: bit ``i`` stands for the
+    process at slot position ``i``, in ``system.all_pids()`` order."""
+    return {pid: 1 << position for position, pid in enumerate(system.all_pids())}
+
+
+def _sleep_children(
+    schedule: tuple[ProcessId, ...],
+    branches: Sequence[ProcessId],
+    sleep: int,
+    footprint: Callable[[ProcessId], StepFootprint],
+    bits: dict[ProcessId, int],
+) -> tuple[list[tuple[tuple[ProcessId, ...], int]], int]:
+    """One node's sleep-set expansion: the frontier entry
+    ``(schedule + (pid,), child mask)`` of every branch that is not
+    asleep, in branch order, and the number of sleeping branches
+    pruned.
+
+    ``bits`` maps each process to its bit (:func:`_sleep_bits`), and
+    ``footprint(pid)`` is the process's step footprint at the node.  A
+    child's mask holds the bits of the sleeping and already-taken
+    branches whose footprints commute with its branch's.
+    """
+    # (bit, footprint) of every sleeping or already-taken branch
+    asleep: list[tuple[int, StepFootprint]] = (
+        [(bit, footprint(pid)) for pid, bit in bits.items() if sleep & bit]
+        if sleep
+        else []
+    )
+    children = []
+    pruned = 0
+    for pid in branches:
+        bit = bits[pid]
+        if sleep & bit:
+            pruned += 1
+            continue
+        taken = footprint(pid)
+        child = 0
+        for other, other_footprint in asleep:
+            if commutes(other_footprint, taken):
+                child |= other
+        children.append((schedule + (pid,), child))
+        asleep.append((bit, taken))
+    return children, pruned
 
 
 def drop_null_s_processes(executor: Executor, candidates):

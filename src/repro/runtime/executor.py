@@ -56,24 +56,25 @@ and distinct ones collide with probability about 2^-128, the argument
 the memory digest rests on.
 
 An exploring executor backtracks by undoing steps.  Each of its steps
-pushes one undo record — the stepped slot's previous trie node and
-counters, the prior state of the one register the step may write, the
-schedulable tuple and crash-queue position before the step, and
-whether the step started or decided a C-process — and :meth:`undo_to`
-pops records back to an earlier time, reverting each step in O(1) and
-running no automaton code.  Its memory is a
-:class:`~repro.memory.registers.DigestedRegisterFile`, which keeps an
-additive digest of the written registers (and one per bucket) up to
-date on every write and every undo, so :meth:`fingerprint` reads no
-memory: it digests the time, the decided vector, that sum, and each
-process's flags and node digest.  A plain executor keeps no undo
-records and no digest.
+pushes one undo record — the stepped slot's previous trie node,
+counters and fingerprint term, the previous sum of slot terms, the
+prior state of the one register the step may write, the schedulable
+tuple and crash-queue position before the step, and whether the step
+started or decided a C-process — and :meth:`undo_to` pops records back
+to an earlier time, reverting each step in O(1), by assignment, and
+running no automaton code.  :meth:`fingerprint` is a sum of terms
+(:mod:`repro.runtime.history_trie`): the time's and the decided
+vector's, each cached; the memory digest, which the
+:class:`~repro.memory.registers.DigestedRegisterFile` keeps current on
+every write and undo; and the slot terms' sum, which every step and
+undo keep current.  So a fingerprint reads no memory, and hashes
+only a decided vector that changed or a time not seen before.  A plain
+executor keeps no undo records and no terms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.process import ProcessId, c_process, s_process
@@ -100,11 +101,6 @@ from .trace import Trace, TraceEvent
 if TYPE_CHECKING:
     from .history_trie import HistoryNode, TrieSlot
 
-
-#: Stand-in digest of a C-process that has not started.
-_NO_HISTORY = bytes(16)
-#: ``_FLAGS[started][halted]``: a slot's flags in a fingerprint.
-_FLAGS = ((b"\x00", b"\x01"), (b"\x02", b"\x03"))
 
 
 class _ProcessSlot:
@@ -188,13 +184,21 @@ class Executor:
         if record_results:
             # Plain runs never import the tries (nor, without cached
             # bytecode, compile them).
+            from . import history_trie
             from .history_trie import TrieSlot, trie_of
+
+            #: the module defining the fingerprint's terms
+            self._terms = history_trie
+            #: ``time_term(t)`` for every time ``t`` fingerprinted so far
+            self._time_terms: list[int] = []
+            #: the decided vector's term, dropped with the vector
+            self._decided_term: int | None = None
         # Insertion order is the canonical sorted order (all C before S,
         # then by index), which keeps the schedulable list sorted for free.
         for pid in system.all_pids():
             if record_results:
                 slot: _ProcessSlot | TrieSlot = TrieSlot(
-                    pid, trie_of(system, pid), len(self._slots)
+                    pid, trie_of(system, pid)
                 )
             else:
                 factories = (
@@ -208,16 +212,12 @@ class Executor:
             if not pid.is_computation:
                 slot.prime()
             self._slots[pid] = slot
-        #: an exploring executor's per-slot fingerprint records, kept up
-        #: to date by every step and undo
-        self._slot_records: list[bytes] = (
-            [
-                _FLAGS[slot.started][slot.halted]
-                + (_NO_HISTORY if slot.node is None else slot.node.digest)
-                for slot in self._slots.values()
-            ]
+        #: the sum of an exploring executor's slot terms, kept current by
+        #: every step and undo
+        self._slot_sum = (
+            sum(slot.term for slot in self._slots.values())
             if record_results
-            else []
+            else 0
         )
         # -- incremental schedulability state --------------------------
         self._started: set[int] = set()
@@ -289,7 +289,7 @@ class Executor:
             slot.started,
             slot.halted,
             slot.steps,
-            _NO_HISTORY if node is None else node.digest,
+            self._terms.NO_HISTORY if node is None else node.digest,
         )
 
     def history_node(self, pid: ProcessId) -> HistoryNode | None:
@@ -416,10 +416,9 @@ class Executor:
         started = slot.started
         halted = slot.halted
         steps = slot.steps
+        prior_term = slot.term
+        slot_sum = self._slot_sum
         crash_pos = self._crash_pos
-        records = self._slot_records
-        position = slot.position
-        record = records[position]
         time = self.time
         events = self.trace.events if self.trace.enabled else None
         write = event = None
@@ -481,6 +480,7 @@ class Executor:
                 self.decisions[index] = op.value
                 self._decided_frozen = None
                 self._decided_vector = None
+                self._decided_term = None
                 self._undecided.discard(index)
                 event = _DECIDED
                 result = None
@@ -519,8 +519,13 @@ class Executor:
             if child.halted:
                 slot.halted = True
                 self._retire(pid)
+            new_term = child.slot_term
+        else:
+            # A decision: the process halts at the node it sits at.
+            new_term = slot.trie.halted_term(node)
+        slot.term = new_term
+        self._slot_sum = slot_sum - prior_term + new_term
         slot.steps = steps + 1
-        records[position] = _FLAGS[slot.started][slot.halted] + child.digest
         time += 1
         self.time = time
         queue = self._crash_queue
@@ -528,8 +533,8 @@ class Executor:
             self._retire_crashed(time)
         self._undo.append(
             (
-                slot, node, pending, started, halted, steps, record,
-                write, schedulable, crash_pos, event,
+                slot, node, pending, started, halted, steps, prior_term,
+                slot_sum, write, schedulable, crash_pos, event,
             )
         )
 
@@ -554,15 +559,14 @@ class Executor:
         if time == self.time:
             return
         pop = records.pop
-        slot_records = self._slot_records
         revert = self.memory.revert
         events = self.trace.events if self.trace.enabled else None
         for _ in range(self.time - time):
             (
                 slot, slot.node, slot.pending, slot.started, slot.halted,
-                slot.steps, record, write, schedulable, crash_pos, event,
+                slot.steps, slot.term, slot_sum, write, schedulable,
+                crash_pos, event,
             ) = pop()
-            slot_records[slot.position] = record
             if write is not None:
                 revert(*write)
             if event is not None:
@@ -575,9 +579,11 @@ class Executor:
                     self._undecided.add(index)
                     self._decided_frozen = None
                     self._decided_vector = None
+                    self._decided_term = None
             if events is not None:
                 events.pop()
         self.time = time
+        self._slot_sum = slot_sum
         self._crash_pos = crash_pos
         if schedulable is not self._schedulable_tuple:
             self._schedulable = list(schedulable)
@@ -686,24 +692,30 @@ class Executor:
         Two executors with equal fingerprints have identical futures:
         each process's history digest determines its automaton's state
         (see the module docstring), and memory, decisions, and time
-        determine everything else.  Requires ``record_results=True``.
+        determine everything else.  It is their terms' sum mod 2^128,
+        as 16 bytes.  Requires ``record_results=True``.
         """
         if not self.record_results:
             raise ProtocolError(
                 "fingerprint() requires an executor constructed with "
                 "record_results=True"
             )
-        # The decided vector is indexed and the memory digest is a sum,
-        # so neither depends on the order things happened in; the digest
-        # and every slot record are fixed-width, which keeps the encoding
-        # unambiguous.
-        return blake2b(
-            b"%d:" % self.time
-            + repr(self.decided_vector()).encode()
-            + (self.memory.digest & DIGEST_MASK).to_bytes(16, "little")
-            + b"".join(self._slot_records),
-            digest_size=16,
-        ).digest()
+        terms = self._terms
+        time = self.time
+        time_terms = self._time_terms
+        if time >= len(time_terms):
+            time_terms.extend(
+                map(terms.time_term, range(len(time_terms), time + 1))
+            )
+        decided = self._decided_term
+        if decided is None:
+            decided = self._decided_term = terms.decided_term(
+                self.decided_vector()
+            )
+        return (
+            (time_terms[time] + decided + self.memory.digest + self._slot_sum)
+            & DIGEST_MASK
+        ).to_bytes(16, "little")
 
     # -- driving -----------------------------------------------------------
 

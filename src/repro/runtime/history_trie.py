@@ -16,6 +16,21 @@ pending operation lets the executor skip re-deriving: a ``Write``'s
 digest term, a ``Snapshot``'s edges keyed by bucket digest, and the
 step's POR footprint.
 
+This module also defines the fingerprint terms of an exploring
+executor (:meth:`~repro.runtime.executor.Executor.fingerprint`), whose
+fingerprint is a sum mod 2^128: the term of its time, of its decided
+vector, its memory digest (one
+:func:`~repro.memory.registers.register_term` per written register),
+and one slot term per process, over the process's slot position, its
+started and halted flags and its node's digest.  Every node caches the
+slot term of a process sitting at it; a process that halts by deciding
+keeps its node, and its term is computed on the spot.  Each term is a
+blake2b digest of an input that opens with a tag byte no ``repr``
+starts with, so no term input equals a ``register_term`` input (a
+``repr``) or another kind's: two distinct multisets of terms sum to
+the same fingerprint with probability about 2^-128, the argument the
+memory digest rests on.
+
 This rests on one assumption about automata, which every automaton in
 this repository meets: a process's next operation is a function of the
 results it has received (results being identified by their ``repr``).
@@ -35,6 +50,31 @@ from ..errors import ProtocolError
 
 #: Digest of the empty history (a primed process that received nothing).
 _ROOT_DIGEST = blake2b(b"", digest_size=16).digest()
+#: Stand-in node digest of a C-process that has not started.
+NO_HISTORY = bytes(16)
+
+
+def _term(data: bytes) -> int:
+    return int.from_bytes(blake2b(data, digest_size=16).digest(), "little")
+
+
+def time_term(time: int) -> int:
+    """The fingerprint term of the time ``time`` (the executor caches it
+    per time)."""
+    return _term(b"\x01%d" % time)
+
+
+def decided_term(vector: tuple) -> int:
+    """The fingerprint term of a decided vector (the executor caches it
+    with the vector)."""
+    return _term(b"\x02" + repr(vector).encode())
+
+
+def slot_term(position: int, started: bool, halted: bool, digest: bytes) -> int:
+    """The fingerprint term of the process at slot ``position`` with
+    these flags, sitting at a node with this digest (:data:`NO_HISTORY`
+    before a C-process starts)."""
+    return _term(b"\x03%d:%d:" % (position, 2 * started + halted) + digest)
 
 
 class HistoryNode:
@@ -42,7 +82,7 @@ class HistoryNode:
 
     __slots__ = (
         "parent", "result", "pending", "halted", "digest", "children",
-        "snapshot_children", "term", "footprint",
+        "snapshot_children", "term", "footprint", "slot_term",
     )
 
     def __init__(
@@ -68,6 +108,10 @@ class HistoryNode:
         #: the step footprint of ``pending``, cached by
         #: :func:`repro.checker.independence.step_footprint`
         self.footprint: Any = None
+        #: the fingerprint term of the process sitting at this node
+        #: (:func:`slot_term`), set by the trie once ``halted`` is known;
+        #: never the term of a process that halted here by deciding
+        self.slot_term = 0
 
 
 class HistoryTrie:
@@ -79,11 +123,19 @@ class HistoryTrie:
     with the number of distinct histories.
     """
 
-    __slots__ = ("factory", "context", "root_node", "live", "live_at")
+    __slots__ = (
+        "factory", "context", "position", "started", "root_node", "live",
+        "live_at",
+    )
 
-    def __init__(self, factory, context) -> None:
+    def __init__(self, factory, context, position: int) -> None:
         self.factory = factory
         self.context = context
+        #: the process's slot position (``system.all_pids()`` order)
+        self.position = position
+        #: the started flag of a process at a node: a C-process starts
+        #: when it reaches the root, an S-process never does
+        self.started = context.pid.is_computation
         self.root_node: HistoryNode | None = None
         self.live: Any = None
         self.live_at: HistoryNode | None = None
@@ -114,6 +166,12 @@ class HistoryTrie:
             node.children[key] = child
         return child
 
+    def halted_term(self, node: HistoryNode) -> int:
+        """The slot term of a process that halted at ``node`` by
+        deciding (computed on the spot: the node's own term stays that
+        of a process that sits at it undecided)."""
+        return slot_term(self.position, self.started, True, node.digest)
+
     def _compute(self, node: HistoryNode, generator, result: Any) -> None:
         """Fill in ``node`` by sending ``result`` to ``generator`` (which
         sits at the node's parent; a fresh one, sent ``None``, for the
@@ -127,6 +185,9 @@ class HistoryTrie:
         else:
             self.live = generator
             self.live_at = node
+        node.slot_term = slot_term(
+            self.position, self.started, node.halted, node.digest
+        )
 
     def _replay(self, node: HistoryNode) -> Any:
         """A fresh generator brought to ``node`` along the trie path,
@@ -163,7 +224,11 @@ def trie_of(system: System, pid: ProcessId) -> HistoryTrie:
         factories = (
             system.c_factories if pid.is_computation else system.s_factories
         )
-        trie = HistoryTrie(factories[pid.index], system.context_for(pid))
+        trie = HistoryTrie(
+            factories[pid.index],
+            system.context_for(pid),
+            system.all_pids().index(pid),
+        )
         system.history_tries[pid] = trie
     return trie
 
@@ -171,21 +236,21 @@ def trie_of(system: System, pid: ProcessId) -> HistoryTrie:
 class TrieSlot:
     """Runtime state of one process of an exploring executor: a
     position in the process's history trie (``None`` until a C-process
-    starts) instead of a generator."""
+    starts) instead of a generator, and the process's fingerprint
+    term."""
 
     __slots__ = (
-        "pid", "trie", "node", "position", "pending", "halted", "started",
+        "pid", "trie", "node", "term", "pending", "halted", "started",
         "steps",
     )
 
-    def __init__(
-        self, pid: ProcessId, trie: HistoryTrie, position: int
-    ) -> None:
+    def __init__(self, pid: ProcessId, trie: HistoryTrie) -> None:
         self.pid = pid
         self.trie = trie
         self.node: HistoryNode | None = None
-        #: index of the slot's fingerprint record
-        self.position = position
+        #: the slot's fingerprint term, kept current by every step and
+        #: undo
+        self.term = slot_term(trie.position, False, False, NO_HISTORY)
         self.pending: Any = None
         self.halted = False
         self.started = False
@@ -195,3 +260,4 @@ class TrieSlot:
         node = self.node = self.trie.root()
         self.pending = node.pending
         self.halted = node.halted
+        self.term = node.slot_term

@@ -1,5 +1,9 @@
 """Tests for the exhaustive schedule explorer and valency analysis."""
 
+import itertools
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro import api
@@ -7,6 +11,7 @@ from repro.__main__ import EXIT_CHECK_CAPPED, main
 from repro.algorithms.kset_concurrent import kset_concurrent_factories
 from repro.algorithms.one_concurrent import one_concurrent_factories
 from repro.algorithms.renaming_figure4 import figure4_factories
+from repro.checker import explorer as explorer_module
 from repro.checker import (
     ScheduleExplorer,
     analyze_valency,
@@ -156,6 +161,58 @@ class TestCertificateCap:
         assert code == EXIT_CHECK_CAPPED != 0
         assert "capped     : stopped at --max-runs 3" in out
         assert "OK" not in out
+
+    def test_check_command_rates_a_resumed_run_by_its_own_nodes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The explorer's clock, patched to tick once per node, stops the
+        # first leg at its 200 s deadline before the 200th node, and each
+        # leg's wall time reads 2 s, so the rates are exact.
+        path = str(tmp_path / "cert.ckpt")
+        command = [
+            "check", "renaming", "--n", "4", "--k", "3", "--depth", "14",
+            "--por", "--dedup",
+        ]
+
+        def leg(*extra, ticks=None):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    time, "perf_counter", itertools.count(0.0, 2.0).__next__
+                )
+                if ticks is not None:
+                    patch.setattr(
+                        explorer_module,
+                        "time",
+                        SimpleNamespace(monotonic=ticks.__next__),
+                    )
+                code = main(command + list(extra))
+            out = capsys.readouterr().out
+            line = next(
+                line for line in out.splitlines() if line.startswith("explored")
+            )
+            return code, line
+
+        code, whole = leg()
+        assert code == 0
+        total = int(whole.split()[2])
+        code, first = leg(
+            "--deadline-s", "200", "--checkpoint", path,
+            ticks=itertools.count(),
+        )
+        assert code == 75
+        done = int(first.split()[2])
+        assert 0 < done < total
+        assert first == (
+            f"explored   : {done} nodes in 2.00s, {done / 2:.0f} nodes/s "
+            "(depth 14)"
+        )
+        code, resumed = leg("--resume", path)
+        assert code == 0
+        rest = total - done
+        assert resumed == (
+            f"explored   : {total} nodes ({rest} this run) in 2.00s, "
+            f"{rest / 2:.0f} nodes/s (depth 14)"
+        )
 
 
 class TestValency:

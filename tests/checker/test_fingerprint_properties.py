@@ -10,8 +10,10 @@ the candidates the reference logs say are interchangeable.  Undoing
 steps must leave an exploring executor exactly where a fresh one
 replaying the surviving path gets, in every observable, and where a
 plain executor (``record_results=False``) gets in memory, decisions and
-trace; and every step and undo must keep the register file's digests
-and the history tries' edges consistent.
+trace; a state reached by backtracking, as the explorer reaches states,
+must have the fingerprint of the same state reached by stepping; and
+every step and undo must keep the register file's digests, the
+fingerprint's sum of terms and the history tries' edges consistent.
 """
 
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from repro.core.process import c_process
 from repro.core.system import null_automaton
 from repro.memory.registers import register_term
 from repro.runtime import Executor, ops
+from repro.runtime.history_trie import decided_term, slot_term, time_term
 from repro.runtime.scheduler import ExplicitScheduler
 
 #: case name -> (C-automaton factory, input vector)
@@ -81,7 +84,8 @@ def _pair(case):
 
 def _drive(executors, schedule):
     """Step every executor through ``schedule``, stopping at the first
-    process that is not schedulable."""
+    process that is not schedulable; returns the steps taken."""
+    taken = []
     for pid in schedule:
         candidates = executors[0].schedulable()
         for executor in executors[1:]:
@@ -90,6 +94,26 @@ def _drive(executors, schedule):
             break
         for executor in executors:
             executor.step(pid)
+        taken.append(pid)
+    return taken
+
+
+def _check_fingerprint(executor):
+    """The fingerprint is the sum of its terms, recomputed from what the
+    executor shows: the time's, the decided vector's, one per written
+    register and one per slot."""
+    total = (
+        time_term(executor.time)
+        + decided_term(executor.decided_vector())
+        + sum(
+            register_term(name, value)
+            for name, value in executor.memory.snapshot("").items()
+        )
+    )
+    for position, pid in enumerate(executor.system.all_pids()):
+        started, halted, _steps, digest = executor.slot_view(pid)
+        total += slot_term(position, started, halted, digest)
+    assert executor.fingerprint() == (total % 2**128).to_bytes(16, "little")
 
 
 def _realize(case, choices):
@@ -176,6 +200,9 @@ choice_lists = st.lists(st.integers(0, 5), max_size=12)
 )
 @example(case="kset", first=[0, 1], second=("swap", 0))
 @example(case="figure4", first=[0, 1, 1, 0], second=("swap", 1))
+# p1 decides alone at its fourth step; the backtrack undoes the decision
+# and the step before it, and p1 steps again to where it decided
+@example(case="kset", first=[0, 0, 0, 0], second=("draw", [0, 0, 1, 0]))
 def test_fingerprints_match_reference_states(case, first, second):
     schedule_a = _realize(case, first)
     kind, arg = second
@@ -183,9 +210,10 @@ def test_fingerprints_match_reference_states(case, first, second):
         _swapped(schedule_a, arg) if kind == "swap" else _realize(case, arg)
     )
     runs = []
+    paths = []
     for schedule in (schedule_a, schedule_b):
         exploring, reference, recorder = _pair(case)
-        _drive([exploring, reference], schedule)
+        paths.append(_drive([exploring, reference], schedule))
         runs.append((exploring, reference, recorder))
     (ex_a, ref_a, rec_a), (ex_b, ref_b, rec_b) = runs
     same_state = _reference_state(ref_a, rec_a) == _reference_state(
@@ -193,11 +221,24 @@ def test_fingerprints_match_reference_states(case, first, second):
     )
     assert (ex_a.fingerprint() == ex_b.fingerprint()) == same_state
     for exploring, reference, recorder in runs:
+        _check_fingerprint(exploring)
         orbits = c_orbits(exploring.system)
         candidates = exploring.schedulable()
         assert prune_interchangeable(
             exploring, orbits, candidates
         ) == _reference_prune(reference, recorder, orbits, candidates)
+    # The explorer reaches a state by undoing back to a common prefix and
+    # stepping on: doing so from ``a`` must give ``b``'s fingerprint.
+    path_a, path_b = paths
+    common = 0
+    while common < min(len(path_a), len(path_b)) and (
+        path_a[common] == path_b[common]
+    ):
+        common += 1
+    ex_a.undo_to(common)
+    _drive([ex_a], path_b[common:])
+    _check_fingerprint(ex_a)
+    assert ex_a.fingerprint() == ex_b.fingerprint()
 
 
 def _prefixes(ctx):
@@ -364,6 +405,8 @@ def _plain_observed(executor):
 @example(case="figure4-crashes", actions=[0] * 8 + ["undo"] * 8 + [1] * 8)
 @example(case="kset", actions=[0] * 6 + ["undo"] * 3)
 @example(case="prefixes", actions=PREFIX_REVISIT)
+# p1 decides at its fourth step, backs off and steps to where it decided
+@example(case="kset", actions=[0] * 4 + ["undo"] * 2 + [0])
 def test_step_undo_matches_fresh_replay(case, actions):
     # Any interleaving of steps and undos must leave the executor
     # exactly where a fresh executor stepping the surviving path gets,
@@ -389,6 +432,7 @@ def test_step_undo_matches_fresh_replay(case, actions):
                 executor.step(pid)
                 path.append(pid)
         _check_memory(executor.memory)
+        _check_fingerprint(executor)
         _check_tries(executor.system)
     fresh = Executor(
         _undo_system(case),

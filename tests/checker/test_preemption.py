@@ -210,10 +210,14 @@ class TestInterruptResume:
     def test_version_2_checkpoint_is_refused(self, tmp_path):
         self._refuses_version(tmp_path, 2)
 
+    def test_version_3_checkpoint_is_refused(self, tmp_path):
+        self._refuses_version(tmp_path, 3)
+
     def _refuses_version(self, tmp_path, version):
-        # Version 1 and 2 frontier files key their dedup map on older
+        # Frontier files before version 4 key their dedup map on older
         # fingerprint bytes, which no state has any more: resuming one
         # would silently stop deduplicating the states it covers.
+        # Version 3 also holds sleep sets as frozensets, not masks.
         path = str(tmp_path / "frontier.ckpt")
         interrupt_after(
             make_explorer(dedup=True), renaming_verdict(), 7, path
