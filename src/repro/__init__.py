@@ -25,15 +25,36 @@ Quickstart::
     print(result.outputs)
 """
 
-from .api import solve_task, solve_task_restricted, verify_run
-from .core import (
-    Environment,
-    FailurePattern,
-    ProcessId,
-    RunResult,
-    System,
-    Task,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+#: Re-exported names by submodule, each imported on first access;
+#: the ``TYPE_CHECKING`` imports below name the same things.
+_EXPORTS = {
+    ".api": ("solve_task", "solve_task_restricted", "verify_run"),
+    ".core": (
+        "Environment",
+        "FailurePattern",
+        "ProcessId",
+        "RunResult",
+        "System",
+        "Task",
+    ),
+}
+
+if TYPE_CHECKING:
+    from .api import solve_task, solve_task_restricted, verify_run
+    from .core import (
+        Environment,
+        FailurePattern,
+        ProcessId,
+        RunResult,
+        System,
+        Task,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -15,26 +15,57 @@ Paper map:
                     :mod:`.kset_concurrent`, :mod:`.wsb_concurrent`
 """
 
-from . import (
-    bg_simulation,
-    dispatch,
-    extraction,
-    kcode_simulation,
-    kconcurrent_solver,
-    kset_concurrent,
-    kset_vector,
-    one_concurrent,
-    paxos,
-    renaming_figure3,
-    renaming_figure4,
-    s_helper,
-    safe_agreement,
-    self_synchronization,
-    set_agreement_ext,
-    splitters,
-    wsb_concurrent,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from ._schema import ModuleSchema, RegisterSchema
+
+#: Re-exported names by submodule, each imported on first access;
+#: the ``TYPE_CHECKING`` imports below name the same things.
+_EXPORTS = {
+    ".": (
+        "bg_simulation",
+        "dispatch",
+        "extraction",
+        "kcode_simulation",
+        "kconcurrent_solver",
+        "kset_concurrent",
+        "kset_vector",
+        "one_concurrent",
+        "paxos",
+        "renaming_figure3",
+        "renaming_figure4",
+        "s_helper",
+        "safe_agreement",
+        "self_synchronization",
+        "set_agreement_ext",
+        "splitters",
+        "wsb_concurrent",
+    ),
+}
+
+if TYPE_CHECKING:
+    from . import (
+        bg_simulation,
+        dispatch,
+        extraction,
+        kcode_simulation,
+        kconcurrent_solver,
+        kset_concurrent,
+        kset_vector,
+        one_concurrent,
+        paxos,
+        renaming_figure3,
+        renaming_figure4,
+        s_helper,
+        safe_agreement,
+        self_synchronization,
+        set_agreement_ext,
+        splitters,
+        wsb_concurrent,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "bg_simulation",

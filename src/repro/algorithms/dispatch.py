@@ -27,15 +27,14 @@ from ..detectors.anti_omega import AntiOmegaK
 from ..detectors.omega import Omega
 from ..detectors.vector_omega import VectorOmegaK
 from ..errors import SpecificationError
-from ..runtime import SeededRandomScheduler, execute, k_concurrent
+from ..runtime import SeededRandomScheduler, execute
 from ..tasks.renaming import RenamingTask
 from ..tasks.set_agreement import SetAgreementTask
-from ..tasks.wsb import WeakSymmetryBreakingTask
 from .kconcurrent_solver import theorem9_solver
-from .kset_concurrent import kset_concurrent_factories
-from .one_concurrent import one_concurrent_factories
-from .renaming_figure4 import figure4_factories
-from .wsb_concurrent import wsb_concurrent_factories
+
+# Each task family's algorithm (and WSB's task class, and the
+# k-concurrency gate) is imported in the branch that uses it: a
+# campaign cell loads only the algorithm its solver runs.
 
 
 def task_concurrency_class(task: Task) -> int:
@@ -45,6 +44,8 @@ def task_concurrency_class(task: Task) -> int:
         return task.k
     if isinstance(task, RenamingTask):
         return max(1, min(task.j, task.l - task.j + 1))
+    from ..tasks.wsb import WeakSymmetryBreakingTask
+
     if isinstance(task, WeakSymmetryBreakingTask):
         return max(1, task.j - 1)
     return 1  # Proposition 1 covers everything at level 1.
@@ -62,12 +63,22 @@ def algorithm_for_task(task: Task, k: int) -> Sequence[Callable]:
             f"requested {k}"
         )
     if k == 1:
+        from .one_concurrent import one_concurrent_factories
+
         return one_concurrent_factories(task)
     if isinstance(task, SetAgreementTask):
+        from .kset_concurrent import kset_concurrent_factories
+
         return kset_concurrent_factories(task.n, task.k)
     if isinstance(task, RenamingTask):
+        from .renaming_figure4 import figure4_factories
+
         return figure4_factories(task.n)
+    from ..tasks.wsb import WeakSymmetryBreakingTask
+
     if isinstance(task, WeakSymmetryBreakingTask):
+        from .wsb_concurrent import wsb_concurrent_factories
+
         return wsb_concurrent_factories(task.n, task.j)
     raise SpecificationError(
         f"no level-{k} algorithm for {task!r} in this library"
@@ -106,6 +117,8 @@ def default_inputs(task: Task) -> Vector:
         return tuple(
             names[i] if i < task.j else None for i in range(task.n)
         )
+    from ..tasks.wsb import WeakSymmetryBreakingTask
+
     if isinstance(task, WeakSymmetryBreakingTask):
         return tuple(
             i + 1 if i < task.j else None for i in range(task.n)
@@ -194,6 +207,8 @@ def solve_restricted(
     inputs = default_inputs(task) if inputs is None else tuple(inputs)
     factories = algorithm_for_task(task, concurrency)
     system = System(inputs=inputs, c_factories=list(factories))
+    from ..runtime.concurrency import k_concurrent
+
     gated = k_concurrent(
         scheduler or SeededRandomScheduler(seed), concurrency
     )

@@ -422,9 +422,13 @@ def _bench_campaign_fabric(cells: int, workers: int) -> dict[str, Any]:
     """Loopback fabric vs serial in-process execution of identical
     cells: the lease/heartbeat/framing machinery must cost less than
     :data:`FABRIC_OVERHEAD_MAX` of serial throughput.  Worker
-    interpreters are spawned and registered *before* the fabric's timed
-    region (via ``wait_for_workers``), so the measurement is
-    steady-state dispatch overhead, not Python start-up."""
+    interpreters are spawned and registered before the fabric's timed
+    region (via ``wait_for_workers``), so interpreter start-up is not
+    timed.  Cell code is: a worker imports the chaos engine and the
+    algorithms on its first lease, inside the timed campaign, so the
+    gate times each worker's first-cell imports (a first lease takes
+    several times as long as a later cell) along with the dispatch
+    overhead."""
     import os
     import subprocess
     import sys

@@ -29,50 +29,101 @@ the reproduction into an adversarial testbed for that quantifier:
   actually catches violations end to end.
 """
 
-from .bundle import (
-    bundle_from_shrink,
-    load_bundle,
-    replay_bundle,
-    save_bundle,
-)
-from .campaign import (
-    BACKENDS,
-    OUTCOME_BUDGET,
-    OUTCOME_DEADLOCK,
-    OUTCOME_ERROR,
-    OUTCOME_FLAKY,
-    OUTCOME_HAZARD,
-    OUTCOME_INVALID_HISTORY,
-    OUTCOME_OK,
-    OUTCOME_OOM,
-    OUTCOME_PARTITION,
-    OUTCOME_SAFETY,
-    OUTCOME_SCHEDULE,
-    OUTCOME_TIMEOUT,
-    OUTCOME_WORKER_CRASH,
-    QUARANTINE_OUTCOMES,
-    CampaignReport,
-    CampaignSpec,
-    CellRecord,
-    CellSpec,
-    Workload,
-    run_campaign,
-    run_cell,
-    smoke_campaign,
-    specimen_campaign,
-    standard_campaign,
-)
-from .injectors import (
-    BurstStarvationScheduler,
-    DecidedShadowScheduler,
-    PerturbedDetector,
-    PriorityInversionScheduler,
-    crash_cascade,
-    crash_storm,
-    last_survivor,
-    storm_suite,
-)
-from .shrink import ShrinkResult, shrink_cell
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+#: Re-exported names by submodule, each imported on first access;
+#: the ``TYPE_CHECKING`` imports below name the same things.
+_EXPORTS = {
+    ".bundle": ("bundle_from_shrink", "load_bundle", "replay_bundle", "save_bundle"),
+    ".campaign": (
+        "BACKENDS",
+        "OUTCOME_BUDGET",
+        "OUTCOME_DEADLOCK",
+        "OUTCOME_ERROR",
+        "OUTCOME_FLAKY",
+        "OUTCOME_HAZARD",
+        "OUTCOME_INVALID_HISTORY",
+        "OUTCOME_OK",
+        "OUTCOME_OOM",
+        "OUTCOME_PARTITION",
+        "OUTCOME_SAFETY",
+        "OUTCOME_SCHEDULE",
+        "OUTCOME_TIMEOUT",
+        "OUTCOME_WORKER_CRASH",
+        "QUARANTINE_OUTCOMES",
+        "CampaignReport",
+        "CampaignSpec",
+        "CellRecord",
+        "CellSpec",
+        "Workload",
+        "run_campaign",
+        "run_cell",
+        "smoke_campaign",
+        "specimen_campaign",
+        "standard_campaign",
+    ),
+    ".injectors": (
+        "BurstStarvationScheduler",
+        "DecidedShadowScheduler",
+        "PerturbedDetector",
+        "PriorityInversionScheduler",
+        "crash_cascade",
+        "crash_storm",
+        "last_survivor",
+        "storm_suite",
+    ),
+    ".shrink": ("ShrinkResult", "shrink_cell"),
+}
+
+if TYPE_CHECKING:
+    from .bundle import (
+        bundle_from_shrink,
+        load_bundle,
+        replay_bundle,
+        save_bundle,
+    )
+    from .campaign import (
+        BACKENDS,
+        OUTCOME_BUDGET,
+        OUTCOME_DEADLOCK,
+        OUTCOME_ERROR,
+        OUTCOME_FLAKY,
+        OUTCOME_HAZARD,
+        OUTCOME_INVALID_HISTORY,
+        OUTCOME_OK,
+        OUTCOME_OOM,
+        OUTCOME_PARTITION,
+        OUTCOME_SAFETY,
+        OUTCOME_SCHEDULE,
+        OUTCOME_TIMEOUT,
+        OUTCOME_WORKER_CRASH,
+        QUARANTINE_OUTCOMES,
+        CampaignReport,
+        CampaignSpec,
+        CellRecord,
+        CellSpec,
+        Workload,
+        run_campaign,
+        run_cell,
+        smoke_campaign,
+        specimen_campaign,
+        standard_campaign,
+    )
+    from .injectors import (
+        BurstStarvationScheduler,
+        DecidedShadowScheduler,
+        PerturbedDetector,
+        PriorityInversionScheduler,
+        crash_cascade,
+        crash_storm,
+        last_survivor,
+        storm_suite,
+    )
+    from .shrink import ShrinkResult, shrink_cell
+else:
+    __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "bundle_from_shrink",

@@ -33,67 +33,135 @@ resume (:mod:`repro.checker.explorer`).
   duplicate / truncate / partition).
 """
 
-from .budget import (
-    EXIT_OOM,
-    EXIT_TIMEOUT,
-    BudgetWatchdog,
-    CellBudget,
-    current_rss_mb,
-)
-from .fabric import (
-    PARTITION_KIND,
-    FabricConfig,
-    FabricCoordinator,
-    FabricStats,
-)
-from .journal import (
-    CONTROL_KINDS,
-    JOURNAL_FORMAT,
-    JOURNAL_VERSION,
-    CampaignJournal,
-    ControlPlaneState,
-    JournalScan,
-    RecoveredLease,
-    atomic_write_bytes,
-    atomic_write_text,
-    campaign_fingerprint,
-    load_journal,
-    record_crc,
-    record_fingerprint,
-    recover_control_state,
-    scan_journal,
-)
-from .netchaos import FAULT_KINDS, ChaosProxy, FaultPlan, ProxyStats
-from .supervisor import (
-    EXIT_RESUMABLE,
-    FAIL_CRASH,
-    FAIL_FLAKY,
-    FAIL_OOM,
-    FAIL_TIMEOUT,
-    AttemptFailure,
-    JobResult,
-    RetryPolicy,
-    SupervisedPool,
-    backoff_schedule,
-    triage,
-)
-from .transport import (
-    FrameConnection,
-    FrameDecoder,
-    TransportClosed,
-    TransportError,
-    connect_framed,
-    encode_frame,
-    parse_endpoint,
-    split_frames,
-)
-from .worker import (
-    ResultSpool,
-    WorkerStats,
-    reconnect_delay_s,
-    run_worker,
-    serve_connection,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+#: Re-exported names by submodule, each imported on first access;
+#: the ``TYPE_CHECKING`` imports below name the same things.
+_EXPORTS = {
+    ".budget": (
+        "EXIT_OOM",
+        "EXIT_TIMEOUT",
+        "BudgetWatchdog",
+        "CellBudget",
+        "current_rss_mb",
+    ),
+    ".fabric": ("PARTITION_KIND", "FabricConfig", "FabricCoordinator", "FabricStats"),
+    ".journal": (
+        "CONTROL_KINDS",
+        "JOURNAL_FORMAT",
+        "JOURNAL_VERSION",
+        "CampaignJournal",
+        "ControlPlaneState",
+        "JournalScan",
+        "RecoveredLease",
+        "atomic_write_bytes",
+        "atomic_write_text",
+        "campaign_fingerprint",
+        "load_journal",
+        "record_crc",
+        "record_fingerprint",
+        "recover_control_state",
+        "scan_journal",
+    ),
+    ".netchaos": ("FAULT_KINDS", "ChaosProxy", "FaultPlan", "ProxyStats"),
+    ".supervisor": (
+        "EXIT_RESUMABLE",
+        "FAIL_CRASH",
+        "FAIL_FLAKY",
+        "FAIL_OOM",
+        "FAIL_TIMEOUT",
+        "AttemptFailure",
+        "JobResult",
+        "RetryPolicy",
+        "SupervisedPool",
+        "backoff_schedule",
+        "triage",
+    ),
+    ".transport": (
+        "FrameConnection",
+        "FrameDecoder",
+        "TransportClosed",
+        "TransportError",
+        "connect_framed",
+        "encode_frame",
+        "parse_endpoint",
+        "split_frames",
+    ),
+    ".worker": (
+        "ResultSpool",
+        "WorkerStats",
+        "reconnect_delay_s",
+        "run_worker",
+        "serve_connection",
+    ),
+}
+
+if TYPE_CHECKING:
+    from .budget import (
+        EXIT_OOM,
+        EXIT_TIMEOUT,
+        BudgetWatchdog,
+        CellBudget,
+        current_rss_mb,
+    )
+    from .fabric import (
+        PARTITION_KIND,
+        FabricConfig,
+        FabricCoordinator,
+        FabricStats,
+    )
+    from .journal import (
+        CONTROL_KINDS,
+        JOURNAL_FORMAT,
+        JOURNAL_VERSION,
+        CampaignJournal,
+        ControlPlaneState,
+        JournalScan,
+        RecoveredLease,
+        atomic_write_bytes,
+        atomic_write_text,
+        campaign_fingerprint,
+        load_journal,
+        record_crc,
+        record_fingerprint,
+        recover_control_state,
+        scan_journal,
+    )
+    from .netchaos import FAULT_KINDS, ChaosProxy, FaultPlan, ProxyStats
+    from .supervisor import (
+        EXIT_RESUMABLE,
+        FAIL_CRASH,
+        FAIL_FLAKY,
+        FAIL_OOM,
+        FAIL_TIMEOUT,
+        AttemptFailure,
+        JobResult,
+        RetryPolicy,
+        SupervisedPool,
+        backoff_schedule,
+        triage,
+    )
+    from .transport import (
+        FrameConnection,
+        FrameDecoder,
+        TransportClosed,
+        TransportError,
+        connect_framed,
+        encode_frame,
+        parse_endpoint,
+        split_frames,
+    )
+    from .worker import (
+        ResultSpool,
+        WorkerStats,
+        reconnect_delay_s,
+        run_worker,
+        serve_connection,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "PARTITION_KIND",

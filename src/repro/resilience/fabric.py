@@ -26,6 +26,12 @@ The mechanism is **at-least-once dispatch with lease-based ownership**:
   delayed, not lost) are counted and dropped, and the journal layer's
   :meth:`~repro.resilience.journal.CampaignJournal.append_idempotent`
   keeps the durable record single-entry too.
+* Every result frame is **acked** (``{"type": "ack", "index": i}``)
+  once the result is recorded and journaled, duplicates included.  A
+  worker holds each result until its ack and spools the unacked ones
+  when the link dies, so a coordinator killed between reading a
+  result and journaling it gets the result replayed after its
+  restart instead of redispatching the cell.
 * A cell redispatched more than ``max_redispatch`` times without ever
   producing a result is *quarantined* with outcome ``"partition"``
   instead of looping forever — surfaced in the campaign report like
@@ -59,7 +65,7 @@ import selectors
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import ResilienceError
@@ -773,18 +779,22 @@ class FabricCoordinator:
                     note.expires_at = now + self.config.lease_s
         elif kind == "result":
             index = int(message.get("index", -1))
-            if index not in cells:
-                return  # not ours (stale worker from another run)
-            conn.leases.discard(index)
-            if conn.suspicion:
-                self._journal_event(
-                    {
-                        "kind": "bench",
-                        "worker": conn.name or conn.peer,
-                        "suspicion": 0,
-                        "penalty_until_unix": 0.0,
-                    }
-                )
-            conn.rehabilitate()
-            finish(index, message)
+            if index in cells:
+                conn.leases.discard(index)
+                if conn.suspicion:
+                    self._journal_event(
+                        {
+                            "kind": "bench",
+                            "worker": conn.name or conn.peer,
+                            "suspicion": 0,
+                            "penalty_until_unix": 0.0,
+                        }
+                    )
+                conn.rehabilitate()
+                finish(index, message)
+            # The ack releases the worker's copy.  ``finish`` has
+            # recorded and journaled the result (or it was a duplicate);
+            # an index this run does not hold was completed before a
+            # restart, or belongs to no cell at all.
+            conn.send({"type": "ack", "index": index})
         # Unknown message types are ignored (forward compatibility).

@@ -18,15 +18,20 @@ is built for an unreliable link:
   safely; on disconnect the thread is joined (with a forced socket
   shutdown as the wake-up of last resort), so a lease-holding
   heartbeat can never outlive its connection.
-* **Results are never lost, only late.**  If the link dies before a
-  result frame lands, the result goes into a local bounded spool
+* **Results are never lost, only late.**  The worker keeps every
+  result it sends until the coordinator acks it, which the coordinator
+  does once the result is recorded and journaled.  If the link dies
+  first, each unacked result goes into a local bounded spool
   (:class:`ResultSpool`, optionally disk-backed) and is replayed —
-  flagged ``"spooled": true`` — right after the next welcome.  The
-  coordinator's ``record_fingerprint`` dedup makes the replay
-  idempotent, so a coordinator outage loses zero completed work.
+  flagged ``"spooled": true`` — right after the next welcome.  A send
+  into a freshly killed coordinator's socket usually succeeds, so only
+  the ack tells delivery apart from loss.  The coordinator's
+  first-result-wins dedup makes the replay idempotent, so a
+  coordinator outage loses zero completed work.
 * **Graceful drain on SIGTERM.**  With a ``drain`` event set (the CLI
-  wires SIGTERM to it), the worker finishes its in-flight cell,
-  flushes the spool, and exits 0.
+  wires SIGTERM to it), the worker finishes its in-flight cell, waits
+  up to one lease period for the acks of the results it sent, flushes
+  the spool, and exits 0.
 
 The agent is deliberately stateless across connections: the campaign
 fingerprint in the coordinator's welcome is remembered only to refuse
@@ -152,15 +157,23 @@ class ResultSpool:
     def __len__(self) -> int:
         return len(self._records)
 
+    def results(self, fingerprint: str | None = None) -> list[dict[str, Any]]:
+        """The spooled result messages (optionally restricted to one
+        campaign), oldest first."""
+        return [
+            dict(record["result"])
+            for record in self._records
+            if fingerprint is None
+            or record.get("fingerprint", "") == fingerprint
+        ]
+
     def indices(self, fingerprint: str | None = None) -> list[int]:
         """Cell indices with a spooled result (optionally restricted
         to one campaign) — what a re-registering worker claims as
         ``held_leases``."""
         return sorted(
-            int(record["result"].get("index", -1))
-            for record in self._records
-            if fingerprint is None
-            or record.get("fingerprint", "") == fingerprint
+            int(result.get("index", -1))
+            for result in self.results(fingerprint)
         )
 
     def put(self, fingerprint: str, result: Mapping[str, Any]) -> None:
@@ -186,12 +199,7 @@ class ResultSpool:
         link dies mid-replay — records are kept, and the resend after
         the next reconnect is deduplicated coordinator-side."""
         sent = 0
-        for record in [
-            r
-            for r in self._records
-            if r.get("fingerprint", "") == fingerprint
-        ]:
-            message = dict(record["result"])
+        for message in self.results(fingerprint):
             message["spooled"] = True
             if worker:
                 message["worker"] = worker
@@ -290,7 +298,13 @@ def serve_connection(
     """Serve leases on one established connection until shutdown, link
     death, or drain.  Returns ``(reason, campaign fingerprint)`` where
     ``reason`` is ``"shutdown"`` (the coordinator said we are done) or
-    ``"drain"`` (our SIGTERM said so)."""
+    ``"drain"`` (our SIGTERM said so; the worker takes no new lease and
+    waits up to one lease period for the acks of results it sent).
+
+    Every result sent here, replayed ones included, is held until its
+    ack arrives.  When the link dies, the unacked results go to the
+    spool (with no spool they are counted lost, and the coordinator
+    redispatches their cells)."""
     welcome = conn.recv(timeout=10.0)
     if welcome is None or welcome.get("type") != "welcome":
         raise TransportClosed("no welcome from coordinator")
@@ -304,25 +318,38 @@ def serve_connection(
         )
     strict_traces = bool(welcome.get("strict_traces", False))
     heartbeat_s = float(welcome.get("heartbeat_s", 1.0))
-    if spool is not None and len(spool):
-        # Flush finished work from the last outage before taking new
-        # leases; the coordinator dedups, so this is safe to repeat.
-        stats.spool_replayed += spool.replay(
-            conn, fingerprint, worker=worker_name
-        )
+    lease_s = float(welcome.get("lease_s", 5.0))
+    unacked: dict[int, dict[str, Any]] = {}
     heartbeater = _Heartbeater(conn, heartbeat_s)
-    heartbeater.start()
     try:
+        if spool is not None and len(spool):
+            # Flush finished work from the last outage before taking
+            # new leases; the coordinator dedups, so this is safe to
+            # repeat.  A replay cut short keeps its records in the
+            # spool, so only a complete one is held for acks.
+            replayed = spool.results(fingerprint)
+            stats.spool_replayed += spool.replay(
+                conn, fingerprint, worker=worker_name
+            )
+            unacked.update((int(r["index"]), r) for r in replayed)
+        heartbeater.start()
+        drain_by: float | None = None
         while True:
             if drain is not None and drain.is_set():
-                return "drain", fingerprint
+                if drain_by is None:
+                    drain_by = time.monotonic() + lease_s
+                if not unacked or time.monotonic() >= drain_by:
+                    return "drain", fingerprint
             message = conn.recv(timeout=heartbeat_s)
             if message is None:
                 continue  # idle tick; heartbeater keeps us visible
             kind = message.get("type")
+            if kind == "ack":
+                unacked.pop(int(message.get("index", -1)), None)
+                continue
             if kind == "shutdown":
                 return "shutdown", fingerprint
-            if kind != "lease":
+            if kind != "lease" or drain_by is not None:
                 continue
             index = int(message["index"])
             heartbeater.hold(index)
@@ -332,20 +359,21 @@ def serve_connection(
                 heartbeater.release(index)
             result["index"] = index
             stats.cells_executed += 1
-            try:
-                conn.send(result)
-                stats.results_sent += 1
-            except TransportClosed:
-                # The execution is not wasted science: spool the result
-                # for replay after the next welcome (or, with no spool,
-                # rely on the coordinator redispatching the
-                # deterministic cell).  Either way this link is done.
-                if spool is not None:
-                    spool.put(fingerprint, result)
-                    stats.results_spooled += 1
-                else:
-                    stats.results_lost += 1
-                raise
+            unacked[index] = result
+            conn.send(result)
+            stats.results_sent += 1
+    except (TransportClosed, TransportError):
+        # The execution is not wasted science: spool what the
+        # coordinator never acked, for replay after the next welcome
+        # (or, with no spool, rely on the coordinator redispatching the
+        # deterministic cells).  Either way this link is done.
+        for result in unacked.values():
+            if spool is not None:
+                spool.put(fingerprint, result)
+                stats.results_spooled += 1
+            else:
+                stats.results_lost += 1
+        raise
     finally:
         # The heartbeat must never outlive the connection: a zombie
         # beater holding a lease would keep renewing it against a

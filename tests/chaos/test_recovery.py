@@ -1,6 +1,6 @@
 """Coordinator crash recovery: control-plane replay, lease
-re-admission, the worker result spool, SIGTERM drain, and the
-heartbeat-thread lifecycle.
+re-admission, the worker result spool and result acks, SIGTERM drain,
+and the heartbeat-thread lifecycle.
 
 These are the survivable-coordinator guarantees: a SIGKILLed
 coordinator restarted with ``--resume`` rebuilds its lease table,
@@ -29,6 +29,7 @@ from repro.resilience import (
     WorkerStats,
     connect_framed,
     recover_control_state,
+    run_worker,
     scan_journal,
     serve_connection,
 )
@@ -321,6 +322,121 @@ class TestCoordinatorRecoveryProtocol:
             thread.join(timeout=5.0)
         assert leftover == set()
         assert results[0]["detail"] == "served-by:clean"
+
+
+class TestResultAcks:
+    """A result is delivered when the coordinator acks it, not when the
+    worker's send returns: a send into a coordinator that dies before
+    reading it usually succeeds."""
+
+    def test_unacked_result_is_replayed_not_recomputed(self):
+        # Coordinator 1 leases cell 0, reads its result frame and dies
+        # without acking.  The worker must hand the same result,
+        # flagged spooled, to coordinator 2, having run the cell once.
+        executed = []
+        seen = {}
+
+        def execute(cell, strict):
+            executed.append(cell["tag"])
+            return {"type": "result", "outcome": "ok", "detail": "once"}
+
+        def next_of(conn, kind):
+            while True:
+                message = conn.recv(timeout=10.0)
+                assert message is not None, f"no {kind} frame"
+                if message["type"] == kind:
+                    return message
+
+        def welcome(conn):
+            conn.send(
+                {"type": "welcome", "fingerprint": "fp", "heartbeat_s": 0.05}
+            )
+
+        def coordinators(server):
+            sock, _ = server.accept()
+            with FrameConnection(sock) as first:
+                next_of(first, "register")
+                welcome(first)
+                first.send({"type": "lease", "index": 0, "cell": {"tag": 0}})
+                seen["first"] = next_of(first, "result")
+            sock, _ = server.accept()
+            with FrameConnection(sock) as second:
+                seen["register"] = next_of(second, "register")
+                welcome(second)
+                seen["second"] = next_of(second, "result")
+                second.send({"type": "ack", "index": 0})
+                second.send({"type": "shutdown"})
+
+        stats = WorkerStats()
+        exit_code = []
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(10.0)
+            thread = threading.Thread(
+                target=lambda: exit_code.append(
+                    run_worker(
+                        *server.getsockname(),
+                        name="w1",
+                        max_attempts=3,
+                        stats=stats,
+                        execute=execute,
+                    )
+                ),
+                daemon=True,
+            )
+            thread.start()
+            coordinators(server)
+            thread.join(timeout=10.0)
+        assert exit_code == [0]
+        assert executed == [0]
+        assert seen["first"].get("spooled") is None
+        assert seen["register"]["held_leases"] == [0]
+        assert seen["second"]["index"] == 0
+        assert seen["second"]["detail"] == "once"
+        assert seen["second"]["spooled"] is True
+        assert (stats.results_spooled, stats.spool_replayed) == (1, 1)
+
+    def test_coordinator_acks_every_result_duplicates_included(self):
+        # Cell 0's result arrives twice (a redelivery) before cell 1's:
+        # the run records it once and acks all three frames.
+        with FabricCoordinator(FAST_FABRIC) as coordinator:
+            host, port = coordinator.address
+            acks = []
+
+            def worker():
+                with connect_framed(host, port) as conn:
+                    conn.send({"type": "register", "name": "w"})
+                    while True:
+                        message = conn.recv(timeout=5.0)
+                        if message is None or message["type"] == "shutdown":
+                            return
+                        if message["type"] == "ack":
+                            acks.append(message["index"])
+                        if message["type"] != "lease":
+                            continue
+                        result = {
+                            "type": "result",
+                            "index": message["index"],
+                            "outcome": "ok",
+                            "detail": "",
+                            "steps": 1,
+                            "attempts": 1,
+                        }
+                        for _ in range(2 - message["index"]):
+                            conn.send(result)
+
+            thread = threading.Thread(target=worker, daemon=True)
+            thread.start()
+            recorded = []
+            leftover = coordinator.run(
+                [(0, {"tag": 0}), (1, {"tag": 1})],
+                lambda index, message: recorded.append(index),
+                fingerprint="fp",
+            )
+        thread.join(timeout=5.0)
+        assert leftover == set()
+        assert sorted(recorded) == [0, 1]
+        assert sorted(acks) == [0, 0, 1]
+        assert coordinator.stats.duplicates_dropped == 1
 
 
 class TestResultSpool:
