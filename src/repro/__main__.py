@@ -149,8 +149,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 #: ``check`` exit code for an exploration stopped by ``--max-runs``
-#: without a violation: it certifies nothing (0 = certified, 1 =
-#: violations, 75 = interrupted and resumable).
+#: without a violation: it certifies nothing (0 = no violation, a
+#: certificate when no run was truncated; 1 = violations; 75 =
+#: interrupted and resumable).
 EXIT_CHECK_CAPPED = 3
 
 
@@ -254,7 +255,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("verdict    : CAPPED — no violation found, nothing certified")
         return EXIT_CHECK_CAPPED
     if report.ok:
-        print("verdict    : OK — no interleaving leaves the task relation")
+        if report.truncated_runs:
+            print(
+                f"verdict    : OK to depth {args.depth} — "
+                f"{report.truncated_runs} runs truncated: a bounded check, "
+                "not a certificate"
+            )
+        else:
+            print("verdict    : OK — no interleaving leaves the task relation")
         return 0
     schedule, _ = report.violations[0]
     print(

@@ -60,16 +60,17 @@ pushes one undo record — the stepped slot's previous trie node,
 counters and fingerprint term, the previous sum of slot terms, the
 prior state of the one register the step may write, the schedulable
 tuple and crash-queue position before the step, and whether the step
-started or decided a C-process — and :meth:`undo_to` pops records back
-to an earlier time, reverting each step in O(1), by assignment, and
-running no automaton code.  :meth:`fingerprint` is a sum of terms
-(:mod:`repro.runtime.history_trie`): the time's and the decided
-vector's, each cached; the memory digest, which the
+started a C-process or the decided state a decision replaced — and
+:meth:`undo_to` pops records back to an earlier time, reverting each
+step in O(1), by assignment, and running no automaton code.
+:meth:`fingerprint` is a sum of terms (:mod:`repro.runtime.history_trie`):
+the time's, cached; the decided vector's, which decisions and undos
+keep with the vector; the memory digest, which the
 :class:`~repro.memory.registers.DigestedRegisterFile` keeps current on
 every write and undo; and the slot terms' sum, which every step and
-undo keep current.  So a fingerprint reads no memory, and hashes
-only a decided vector that changed or a time not seen before.  A plain
-executor keeps no undo records and no terms.
+undo keep current.  So a fingerprint reads no memory and hashes only a
+time not seen before.  A plain executor keeps no undo records and no
+terms.
 """
 
 from __future__ import annotations
@@ -134,9 +135,9 @@ class _ProcessSlot:
             self.pending = None
 
 
-#: Undo-record events: the step started, or decided, a C-process.
+#: Undo-record event: the step started a C-process (a decision's event
+#: is the decided state it replaced).
 _STARTED = 1
-_DECIDED = 2
 
 
 class Executor:
@@ -181,6 +182,7 @@ class Executor:
         #: one record per step of an exploring executor (see :meth:`undo`)
         self._undo: list[tuple] | None = [] if record_results else None
         self._slots: dict[ProcessId, _ProcessSlot | TrieSlot] = {}
+        self._decided_vector: tuple[Any, ...] | None = None
         if record_results:
             # Plain runs never import the tries (nor, without cached
             # bytecode, compile them).
@@ -191,8 +193,8 @@ class Executor:
             self._terms = history_trie
             #: ``time_term(t)`` for every time ``t`` fingerprinted so far
             self._time_terms: list[int] = []
-            #: the decided vector's term, dropped with the vector
-            self._decided_term: int | None = None
+            self._decided_vector = vector = (None,) * system.n_c
+            self._decided_term = history_trie.decided_term(vector)
         # Insertion order is the canonical sorted order (all C before S,
         # then by index), which keeps the schedulable list sorted for free.
         for pid in system.all_pids():
@@ -223,7 +225,6 @@ class Executor:
         self._started: set[int] = set()
         self._started_frozen: frozenset[int] | None = frozenset()
         self._decided_frozen: frozenset[int] | None = frozenset()
-        self._decided_vector: tuple[Any, ...] | None = None
         self._undecided: set[int] = set(system.participants)
         self._crash_queue = system.pattern.crash_transitions
         self._crash_pos = 0
@@ -247,8 +248,9 @@ class Executor:
 
     def decided_vector(self) -> tuple:
         """The output vector so far (``None`` for undecided processes),
-        cached between decide steps — decisions are the rarest event in
-        a run, so per-node safety verdicts can key caches on this."""
+        cached between decisions, and kept through decisions and undos
+        by an exploring executor, so per-node safety verdicts can key
+        caches on this."""
         if self._decided_vector is None:
             decisions = self.decisions
             self._decided_vector = tuple(
@@ -477,12 +479,15 @@ class Executor:
                 if pid.is_synchronization:
                     raise ProtocolError("S-processes cannot decide")
                 index = pid.index
+                vector = self._decided_vector
+                decided = self._decided_term
+                event = (vector, decided, self._decided_frozen)
+                self._decided_vector, self._decided_term = slot.trie.decide(
+                    node, vector, decided
+                )
                 self.decisions[index] = op.value
                 self._decided_frozen = None
-                self._decided_vector = None
-                self._decided_term = None
                 self._undecided.discard(index)
-                event = _DECIDED
                 result = None
                 child = node
                 slot.halted = True
@@ -577,9 +582,11 @@ class Executor:
                 else:
                     del self.decisions[index]
                     self._undecided.add(index)
-                    self._decided_frozen = None
-                    self._decided_vector = None
-                    self._decided_term = None
+                    (
+                        self._decided_vector,
+                        self._decided_term,
+                        self._decided_frozen,
+                    ) = event
             if events is not None:
                 events.pop()
         self.time = time
@@ -708,10 +715,6 @@ class Executor:
                 map(terms.time_term, range(len(time_terms), time + 1))
             )
         decided = self._decided_term
-        if decided is None:
-            decided = self._decided_term = terms.decided_term(
-                self.decided_vector()
-            )
         return (
             (time_terms[time] + decided + self.memory.digest + self._slot_sum)
             & DIGEST_MASK

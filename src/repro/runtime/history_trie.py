@@ -13,8 +13,8 @@ generator each trie keeps parked, or by a replay along the trie path
 when that generator sits elsewhere — and a step that meets a known
 result just follows the edge.  A node also caches what its fixed
 pending operation lets the executor skip re-deriving: a ``Write``'s
-digest term, a ``Snapshot``'s edges keyed by bucket digest, and the
-step's POR footprint.
+digest term, a ``Decide``'s halted slot term, a ``Snapshot``'s edges
+keyed by bucket digest, and the step's POR footprint.
 
 This module also defines the fingerprint terms of an exploring
 executor (:meth:`~repro.runtime.executor.Executor.fingerprint`), whose
@@ -23,8 +23,11 @@ vector, its memory digest (one
 :func:`~repro.memory.registers.register_term` per written register),
 and one slot term per process, over the process's slot position, its
 started and halted flags and its node's digest.  Every node caches the
-slot term of a process sitting at it; a process that halts by deciding
-keeps its node, and its term is computed on the spot.  Each term is a
+slot term of a process sitting at it, and a node where a process
+decides (and halts, keeping its node) also caches the term of the
+process halted there, computed on the first such decision.  A trie
+memoizes the decided vector's term after each decision at its nodes,
+per prior decided term (:meth:`HistoryTrie.decide`).  Each term is a
 blake2b digest of an input that opens with a tag byte no ``repr``
 starts with, so no term input equals a ``register_term`` input (a
 ``repr``) or another kind's: two distinct multisets of terms sum to
@@ -65,8 +68,8 @@ def time_term(time: int) -> int:
 
 
 def decided_term(vector: tuple) -> int:
-    """The fingerprint term of a decided vector (the executor caches it
-    with the vector)."""
+    """The fingerprint term of a decided vector (an exploring executor
+    keeps it with the vector; see :meth:`HistoryTrie.decide`)."""
     return _term(b"\x02" + repr(vector).encode())
 
 
@@ -103,14 +106,17 @@ class HistoryNode:
         #: snapshot leads to, which ``children`` holds under the
         #: snapshot's ``repr``
         self.snapshot_children: dict[int, HistoryNode] | None = None
-        #: for a pending ``Write``: its ``register_term``, computed once
+        #: the fingerprint term the step at this node contributes,
+        #: computed once: for a pending ``Write``, its ``register_term``;
+        #: for a pending ``Decide``, the slot term of the process halted
+        #: here by deciding (:meth:`HistoryTrie.halted_term`)
         self.term: int | None = None
         #: the step footprint of ``pending``, cached by
         #: :func:`repro.checker.independence.step_footprint`
         self.footprint: Any = None
         #: the fingerprint term of the process sitting at this node
         #: (:func:`slot_term`), set by the trie once ``halted`` is known;
-        #: never the term of a process that halted here by deciding
+        #: a process that halted here by deciding has ``term`` instead
         self.slot_term = 0
 
 
@@ -125,7 +131,7 @@ class HistoryTrie:
 
     __slots__ = (
         "factory", "context", "position", "started", "root_node", "live",
-        "live_at",
+        "live_at", "decided_terms",
     )
 
     def __init__(self, factory, context, position: int) -> None:
@@ -139,6 +145,9 @@ class HistoryTrie:
         self.root_node: HistoryNode | None = None
         self.live: Any = None
         self.live_at: HistoryNode | None = None
+        #: ``(prior decided term, deciding node)`` -> the decided term
+        #: after that decision (see :meth:`decide`)
+        self.decided_terms: dict[tuple[int, HistoryNode], int] = {}
 
     def root(self) -> HistoryNode:
         if self.root_node is None:
@@ -166,11 +175,34 @@ class HistoryTrie:
             node.children[key] = child
         return child
 
+    def decide(
+        self, node: HistoryNode, vector: tuple, term: int
+    ) -> tuple[tuple, int]:
+        """The decided vector and its term once the process decides at
+        ``node`` (whose pending operation is a ``Decide``), given the
+        prior decided ``vector`` and its ``term``: ``vector`` with the
+        process's entry replaced by the decided value.  The term is
+        memoized by ``(term, node)``: the prior term fixes the prior
+        vector and the node the value, so blake2b runs only for a pair
+        not seen before."""
+        index = self.context.pid.index
+        vector = vector[:index] + (node.pending.value,) + vector[index + 1 :]
+        key = (term, node)
+        term = self.decided_terms.get(key)
+        if term is None:
+            term = self.decided_terms[key] = decided_term(vector)
+        return vector, term
+
     def halted_term(self, node: HistoryNode) -> int:
         """The slot term of a process that halted at ``node`` by
-        deciding (computed on the spot: the node's own term stays that
-        of a process that sits at it undecided)."""
-        return slot_term(self.position, self.started, True, node.digest)
+        deciding, cached in ``node.term`` (the node's ``slot_term`` stays
+        that of a process that sits at it undecided)."""
+        term = node.term
+        if term is None:
+            term = node.term = slot_term(
+                self.position, self.started, True, node.digest
+            )
+        return term
 
     def _compute(self, node: HistoryNode, generator, result: Any) -> None:
         """Fill in ``node`` by sending ``result`` to ``generator`` (which

@@ -150,6 +150,36 @@ class TestCertificateCap:
                 **CERTIFICATE_KNOBS,
             )
 
+    @pytest.mark.parametrize(
+        ("depth", "runs", "verdict"),
+        [
+            (
+                5,
+                "0 completed, 9 truncated",
+                "verdict    : OK to depth 5 — 9 runs truncated: a bounded "
+                "check, not a certificate",
+            ),
+            (
+                40,
+                "19 completed, 0 truncated",
+                "verdict    : OK — no interleaving leaves the task relation",
+            ),
+        ],
+    )
+    def test_check_command_certifies_only_a_complete_tree(
+        self, capsys, depth, runs, verdict
+    ):
+        code = main(
+            [
+                "check", "renaming", "--n", "3", "--k", "2", "--depth",
+                str(depth), "--por", "--dedup",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"runs       : {runs}\n" in out
+        assert f"{verdict}\n" in out
+
     def test_check_command_reports_the_cap(self, capsys):
         code = main(
             [

@@ -101,10 +101,16 @@ def _drive(executors, schedule):
 def _check_fingerprint(executor):
     """The fingerprint is the sum of its terms, recomputed from what the
     executor shows: the time's, the decided vector's, one per written
-    register and one per slot."""
+    register and one per slot.  The decided vector and set, which steps
+    and undos keep rather than rebuild, must equal the ones rebuilt from
+    the decisions."""
+    decisions = executor.decisions
+    vector = tuple(decisions.get(i) for i in range(executor.system.n_c))
+    assert executor.decided_vector() == vector
+    assert executor.decided_c == frozenset(decisions)
     total = (
         time_term(executor.time)
-        + decided_term(executor.decided_vector())
+        + decided_term(vector)
         + sum(
             register_term(name, value)
             for name, value in executor.memory.snapshot("").items()
@@ -407,6 +413,9 @@ def _plain_observed(executor):
 @example(case="prefixes", actions=PREFIX_REVISIT)
 # p1 decides at its fourth step, backs off and steps to where it decided
 @example(case="kset", actions=[0] * 4 + ["undo"] * 2 + [0])
+# p3 decides 0 alone, backs off to the start, and decides 1 after p1's
+# steps: one process, one prior decided vector, two decided values
+@example(case="kset", actions=[2] * 4 + ["undo"] * 4 + [0, 0, 0, 2, 2, 2])
 def test_step_undo_matches_fresh_replay(case, actions):
     # Any interleaving of steps and undos must leave the executor
     # exactly where a fresh executor stepping the surviving path gets,
