@@ -916,16 +916,18 @@ def main(argv: list[str] | None = None) -> int:
         help="dispatch substrate: in-process, local worker pool, or "
         "the multi-host fabric (lease-based at-least-once dispatch "
         "over sockets; degrades to the local pool if no worker "
-        "registers); reports are byte-identical across backends",
+        "registers); reports are byte-identical across backends.  "
+        "Only pool workers enforce --deadline-s, --rss-mb and "
+        "--inject-worker-kill: inproc and fabric refuse them",
     )
     p.add_argument(
         "--kernel",
         choices=["interp", "compiled"],
         default="interp",
         help="execution kernel per cell: the interpreted executor, or "
-        "compiled step functions with per-automaton fallback (serial "
-        "in-process compiled runs batch cells into lockstep lanes); "
-        "reports are byte-identical across kernels",
+        "compiled step functions with per-automaton fallback; every "
+        "backend runs one cell at a time either way, and reports are "
+        "byte-identical across kernels",
     )
     p.add_argument(
         "--listen",

@@ -72,9 +72,10 @@ KERNEL_PAIRS = {
 #: smoke, ``nop_n32`` 1.69x / 2.05x, ``crashes`` 2.53x / 2.43x,
 #: ``snapshot`` 4.08x / 3.72x), 1.33x / 1.42x on the paxos-inlined one,
 #: and nothing measurable on campaigns, whose cells spend their time in
-#: costs both kernels share (``campaign_compiled`` 0.95x / 0.99x, the
-#: seed sweep 1.01x / 0.94x).  The floors still catch a compiled engine
-#: that falls well behind the interpreter.
+#: costs both kernels share (``campaign_compiled`` 0.99x / 1.02x, the
+#: seed sweep 0.98x / 1.00x, compiled cells run one at a time as on
+#: every campaign route).  The floors still catch a compiled engine that
+#: falls well behind the interpreter.
 KERNEL_SPEEDUP_MIN = {
     "executor_compiled_rw_n8": 1.95,
     "executor_compiled_nop_n32": 1.35,
@@ -346,10 +347,9 @@ def _bench_campaign(
 
 def _sweep_campaign(seeds: int):
     """One system shape, many detector seeds, no crashes: k-set
-    agreement over the paxos-inlined kset_vector algorithm.  This is
-    the many-seed sweep the shared COW lane state exists for — every
-    cell differs only in its seed, so all lanes share one
-    :class:`~repro.kernel.engine.LaneState`."""
+    agreement over the paxos-inlined kset_vector algorithm.  Every cell
+    differs only in its seed, so the pair times many runs of one
+    shape."""
     from .chaos.campaign import CampaignSpec, Workload
 
     return CampaignSpec(

@@ -344,9 +344,9 @@ def _prepare_cell(
 
     Returns ``(task, system, invalid_record)`` where ``invalid_record``
     is the ready-made :class:`CellRecord` when history validation
-    failed (the run must not happen).  Shared by :func:`run_cell` and
-    the compiled lanes (:func:`repro.kernel.lanes.run_cells_compiled`),
-    so both kernels see literally the same systems.
+    failed (the run must not happen).  The cell body
+    :func:`_run_cell_body` calls it before either kernel runs, so both
+    kernels see literally the same systems.
     """
     task = build_task(cell.task)
     pattern = build_pattern(cell.pattern, task.n)
@@ -518,7 +518,7 @@ def _run_jobs_fabric(
     remaining: list[tuple[int, tuple]],
     fingerprint: str,
     record_result: Callable[[int, CellRecord], None],
-    run_supervised: Callable[[list[tuple[int, tuple]], int | None], None],
+    run_supervised: Callable[[list[tuple[int, tuple]]], None],
     fabric: Any,
     journal_writer: Any = None,
     recovered: Any = None,
@@ -571,8 +571,7 @@ def _run_jobs_fabric(
     if leftover:
         payloads = dict(remaining)
         run_supervised(
-            [(index, payloads[index]) for index in sorted(leftover)],
-            None,
+            [(index, payloads[index]) for index in sorted(leftover)]
         )
     return coordinator.stats
 
@@ -617,7 +616,10 @@ def run_campaign(
     workers; setting it (or ``inject_worker_kill``, the fault drill
     that SIGKILLs the worker running that cell index on its first
     attempt) with ``workers=1`` still routes through a one-worker
-    supervised pool so the budget is enforceable.  ``journal`` appends
+    supervised pool so the budget is enforceable.  Only supervised pool
+    workers enforce either knob, so the ``"inproc"`` and ``"fabric"``
+    backends refuse both with :class:`~repro.errors.ResilienceError`
+    rather than run the cells unguarded.  ``journal`` appends
     every completed cell to a JSONL file the moment it finishes;
     ``resume`` replays such a journal, re-executing only the missing
     cells (the journal is fingerprint-pinned to the exact enumerated
@@ -629,7 +631,9 @@ def run_campaign(
 
     * ``"auto"`` (default) — serial in-process, unless ``workers`` > 1
       or a budget/fault-injection knob requires a pool.
-    * ``"inproc"`` — force serial in-process execution.
+    * ``"inproc"`` — force serial in-process execution; refuses
+      ``budget`` and ``inject_worker_kill``, which no worker would
+      enforce.
     * ``"pool"`` — force the local supervised worker pool.
     * ``"fabric"`` — shard cells across socket-connected remote workers
       via a :class:`~repro.resilience.fabric.FabricCoordinator` with
@@ -646,17 +650,17 @@ def run_campaign(
       restarts a SIGKILLed coordinator in recovery mode: journaled
       cells are never redispatched, workers still holding valid
       leases are re-admitted on reconnect, and spooled worker results
-      are replayed idempotently.
+      are replayed idempotently.  Fabric workers run no watchdog, so
+      this backend refuses ``budget`` and ``inject_worker_kill`` too.
 
     ``kernel`` selects the execution kernel per cell: ``"interp"``
     (default) or ``"compiled"`` (:mod:`repro.kernel` — compiled step
     functions with per-automaton interpreter fallback, proven
-    byte-identical by the kernel differential harness).  The serial
-    in-process compiled path additionally batches all cells into
-    lockstep lanes (:func:`repro.kernel.lanes.run_cells_compiled`);
-    pool workers run compiled cells one at a time.  The fabric backend
-    does not accept ``kernel="compiled"``: its remote workers negotiate
-    only cell JSON, not kernel choice.
+    byte-identical by the kernel differential harness).  The kernel
+    travels in each job, so every route runs one cell at a time
+    through the same job function, :func:`_run_cell_guarded`.  The
+    fabric backend does not accept ``kernel="compiled"``: its remote
+    workers negotiate only cell JSON, not kernel choice.
     """
     if workers is None:
         workers = spec.workers
@@ -669,6 +673,16 @@ def run_campaign(
             "backend='fabric' does not support kernel="
             f"{kernel!r}: fabric workers negotiate cell JSON only"
         )
+    if backend in ("inproc", "fabric"):
+        for knob, value in (
+            ("budget", budget),
+            ("inject_worker_kill", inject_worker_kill),
+        ):
+            if value is not None:
+                raise ResilienceError(
+                    f"backend={backend!r} does not support {knob}: "
+                    f"only supervised pool workers enforce it"
+                )
     cell_iter = spec.cells()
     if limit is not None:
         cell_iter = itertools.islice(cell_iter, limit)
@@ -745,15 +759,13 @@ def run_campaign(
     ]
     fabric_stats = None
 
-    def run_supervised(
-        jobs: list[tuple[int, tuple]], kill_index: int | None
-    ) -> None:
+    def run_supervised(jobs: list[tuple[int, tuple]]) -> None:
         supervised = SupervisedPool(
             _run_cell_guarded,
             workers=max(1, workers),
             budget=budget,
             retry=retry,
-            kill_job_index=kill_index,
+            kill_job_index=inject_worker_kill,
         )
 
         def on_job(job: JobResult) -> None:
@@ -786,15 +798,7 @@ def run_campaign(
                 recovered=recovered,
             )
         elif use_pool:
-            run_supervised(remaining, inject_worker_kill)
-        elif kernel == "compiled":
-            from ..kernel.lanes import run_cells_compiled
-
-            run_cells_compiled(
-                [(index, job[0]) for index, job in remaining],
-                strict_traces=spec.strict_traces,
-                record_result=record_result,
-            )
+            run_supervised(remaining)
         else:
             for index, job in remaining:
                 record_result(index, _run_cell_guarded(job))

@@ -1,11 +1,13 @@
-"""Compiled execution kernel: schema-to-Python codegen + batched lanes.
+"""Compiled execution kernel: schema-to-Python codegen.
 
 The kernel lowers automaton generators into flat step functions
 (:mod:`.compiler`), drives whole systems through them with exact
-interpreter semantics (:mod:`.engine`), batches campaign cells into
-lockstep lanes (:mod:`.lanes`), and proves equivalence against the
-interpreter (:mod:`.differential`).  See ``docs/performance.md``
-("Compiled execution kernel") for the architecture.
+interpreter semantics (:mod:`.engine`), and proves equivalence against
+the interpreter (:mod:`.differential`).  Campaigns run compiled cells
+one at a time, through the same job function as interpreted ones;
+:mod:`.lanes` keeps only the names perfbench's traced sweep replay
+imports.  See ``docs/performance.md`` ("Compiled execution kernel") for
+the architecture.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .compiler import (
     compiled_source,
 )
 from .engine import CompiledRun, LaneState, execute_compiled
-from .lanes import run_cells_compiled
 
 __all__ = [
     "CompiledProgram",
@@ -35,7 +36,6 @@ __all__ = [
     "compiled_source",
     "cached_programs",
     "clear_cache",
-    "run_cells_compiled",
     "dump_source",
     "dump_all",
     "warm_cache",

@@ -30,8 +30,9 @@ Structure of a run:
   (:meth:`~repro.runtime.scheduler.Scheduler.segment`) and takes the
   segment until it runs out or the view changes.
 
-``advance(limit)`` steps at most ``limit`` scheduler turns, which is
-what lets :mod:`repro.kernel.lanes` interleave many runs in lockstep.
+``advance(limit)`` steps at most ``limit`` scheduler turns; ``run()``
+advances to the end.  Campaigns run one ``CompiledRun`` per cell, to
+completion, through :func:`execute_compiled`.
 """
 
 from __future__ import annotations
@@ -63,10 +64,13 @@ __all__ = ["CompiledRun", "LaneState", "execute_compiled"]
 class LaneState:
     """Shared copy-on-write state for lanes of one system *shape*.
 
-    Many-seed sweeps run the same task/algorithm/pattern under different
-    seeds; every lane starts from the identical (empty) register file —
-    a common prefix.  A ``LaneState`` is created per shape by
-    :mod:`repro.kernel.lanes` and handed to each lane's
+    It remains only for perfbench's traced ``sweep`` replay, which
+    still advances many runs of one shape side by side; no campaign
+    route builds one.  Many-seed sweeps run the same
+    task/algorithm/pattern under different seeds; every lane starts
+    from the identical (empty) register file — a common prefix.  A
+    ``LaneState`` per shape (keyed by
+    :func:`repro.kernel.lanes.lane_shape_key`) is handed to each lane's
     :class:`CompiledRun`:
 
     * ``snap0`` — the epoch-0 snapshot cache, shared by every lane in
@@ -76,10 +80,8 @@ class LaneState:
       itself is never invalidated, because one lane's writes are
       invisible to its siblings.
 
-    Correctness is enforced end-to-end by the campaign differential
-    (:func:`repro.kernel.differential.campaign_differential`): reports
-    rendered from shared-snapshot lanes must stay byte-identical to the
-    serial interpreted run.
+    ``tests/kernel/test_lanes.py`` checks that runs sharing one state
+    produce the outputs and memory of a run without it.
     """
 
     __slots__ = ("snap0",)
@@ -101,9 +103,10 @@ class CompiledRun:
             differential tests inject deliberately miscompiled programs
             through this to prove the gate fails loudly.
         lane_state: optional :class:`LaneState` shared with sibling
-            lanes of the same system shape (see
-            :mod:`repro.kernel.lanes`).  ``None`` — the default for
-            solo runs — keeps the original single-run fast paths.
+            lanes of the same system shape; only perfbench's traced
+            sweep replay passes one.  ``None`` — the default, and what
+            every campaign route uses — keeps the single-run fast
+            paths.
     """
 
     def __init__(

@@ -1,0 +1,90 @@
+"""One report whatever the route: backends ``inproc`` and ``pool`` ×
+kernels ``interp`` and ``compiled`` × ``strict_traces`` off and on,
+over the first 8 smoke cells, render identically and journal identical
+cell lines; and a journal cut after its first 3 cell lines resumes on
+either backend to the same report and the same cell lines."""
+
+import dataclasses
+import itertools
+import json
+
+import pytest
+
+from repro.chaos import run_campaign, smoke_campaign
+
+CELLS = 8
+BACKENDS = ("inproc", "pool")
+ROUTES = list(itertools.product(BACKENDS, ("interp", "compiled"), (False, True)))
+
+
+def _route_id(route):
+    backend, kernel, strict = route
+    return f"{backend}-{kernel}-{'strict' if strict else 'plain'}"
+
+
+def _run(backend, kernel, strict, **journaling):
+    spec = dataclasses.replace(smoke_campaign(), strict_traces=strict)
+    workers = 2 if backend == "pool" else 1
+    return run_campaign(
+        spec,
+        limit=CELLS,
+        backend=backend,
+        kernel=kernel,
+        workers=workers,
+        **journaling,
+    )
+
+
+def _cell_lines(journal_text):
+    """The journal's cell lines in cell order (a two-worker pool appends
+    them in completion order)."""
+    cells = [
+        line
+        for line in journal_text.splitlines()
+        if json.loads(line)["kind"] == "cell"
+    ]
+    return sorted(cells, key=lambda line: json.loads(line)["index"])
+
+
+@pytest.fixture(scope="module")
+def route(tmp_path_factory):
+    """Run a route once per module: ``(render, journal text)``."""
+    done = {}
+
+    def run(backend, kernel, strict):
+        key = (backend, kernel, strict)
+        if key not in done:
+            journal = tmp_path_factory.mktemp("journal") / "cells.jsonl"
+            report = _run(backend, kernel, strict, journal=str(journal))
+            assert len(report.records) == CELLS
+            done[key] = report.render(), journal.read_text(encoding="utf-8")
+        return done[key]
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "backend,kernel,strict", ROUTES[1:], ids=map(_route_id, ROUTES[1:])
+)
+def test_route_matches_serial_interpreted(route, backend, kernel, strict):
+    render, journal = route(backend, kernel, strict)
+    reference_render, reference_journal = route(*ROUTES[0])
+    assert render == reference_render
+    assert _cell_lines(journal) == _cell_lines(reference_journal)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_resume_from_three_journaled_cells(route, tmp_path, backend):
+    _, journal = route(backend, "compiled", False)
+    header, *lines = journal.splitlines()
+    first_three = [
+        line for line in lines if json.loads(line)["kind"] == "cell"
+    ][:3]
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("\n".join([header, *first_three]) + "\n", encoding="utf-8")
+    resumed = _run(backend, "compiled", False, resume=str(cut))
+    reference_render, reference_journal = route(*ROUTES[0])
+    assert resumed.render() == reference_render
+    assert _cell_lines(cut.read_text(encoding="utf-8")) == _cell_lines(
+        reference_journal
+    )

@@ -43,7 +43,7 @@ def storm_spec() -> CampaignSpec:
         {"workers": 2},
         {"backend": "inproc", "kernel": "compiled"},
     ],
-    ids=["inproc", "pool", "lanes"],
+    ids=["inproc", "pool", "compiled"],
 )
 def test_every_route_returns_lean_records(route):
     report = run_campaign(storm_spec(), **route)

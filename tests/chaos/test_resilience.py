@@ -93,6 +93,28 @@ class TestBudgetEnforcement:
         assert not result.ok
         assert result.kind == "timeout"
 
+    @pytest.mark.parametrize("backend", ["inproc", "fabric"])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"budget": CellBudget(deadline_s=1e-6)},
+            {"inject_worker_kill": 0},
+        ],
+        ids=["budget", "inject_worker_kill"],
+    )
+    def test_backends_without_watchdogs_refuse_the_knobs(
+        self, backend, knob
+    ):
+        # Only supervised pool workers enforce budgets and kill drills:
+        # in-process cells would come back ``ok`` past a 1 µs deadline,
+        # and fabric workers run no watchdog.  Refused before any cell
+        # runs or any coordinator binds.
+        (name,) = knob
+        with pytest.raises(ResilienceError, match=name):
+            run_campaign(
+                smoke_campaign(), limit=2, backend=backend, **knob
+            )
+
 
 class TestRetryAndQuarantine:
     def test_backoff_schedule_is_deterministic(self):

@@ -1,6 +1,6 @@
 """Campaign integration of the compiled kernel: the ``kernel=``
-parameter of run_campaign, the batched serial lanes, the pool payload
-plumbing, the fabric refusal, and the ``--kernel`` CLI flag."""
+parameter of run_campaign, the serial and pool compiled routes, the
+fabric refusal, and the ``--kernel`` CLI flag."""
 
 import pytest
 

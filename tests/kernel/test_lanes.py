@@ -1,13 +1,16 @@
-"""Lane edge cases and the shared copy-on-write lane state: chunk vs
-cell-count interactions, seed sweeps sharing one shape group, epoch-0
-snapshot sharing, and mixed compiled/fallback lanes over one COW
-prefix."""
+"""Compiled campaigns one cell at a time, and the shared copy-on-write
+lane state: a compiled seed sweep never holds more than one run alive,
+mixed compiled/fallback cells still match the interpreter, and runs
+sharing one ``LaneState`` (kept for perfbench's traced sweep replay)
+match a run without it."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
-from repro.chaos import smoke_campaign
-from repro.chaos.campaign import run_cell
+from repro.chaos import run_campaign, smoke_campaign
+from repro.chaos.campaign import CampaignSpec, run_cell
 from repro.core import System
 from repro.core.process import s_process
 from repro.kernel import (
@@ -15,20 +18,20 @@ from repro.kernel import (
     LaneState,
     UnsupportedAutomaton,
 )
-from repro.kernel.lanes import CHUNK, lane_shape_key, run_cells_compiled
+from repro.kernel.lanes import lane_shape_key
 from repro.runtime import ops
 from repro.runtime.scheduler import ExplicitScheduler
 
 
-def _collect(jobs, chunk=CHUNK):
-    records = {}
-    run_cells_compiled(
-        jobs,
-        strict_traces=False,
-        record_result=lambda i, r: records.__setitem__(i, r),
-        chunk=chunk,
-    )
-    return records
+class CellsCampaign(CampaignSpec):
+    """A campaign over an explicit list of cells."""
+
+    def __init__(self, cells):
+        super().__init__(name="explicit-cells", workloads=[])
+        self._cells = list(cells)
+
+    def cells(self):
+        yield from self._cells
 
 
 def _cells(count):
@@ -37,11 +40,11 @@ def _cells(count):
     return cells[:count]
 
 
-def _assert_matches_interp(jobs, records):
-    assert sorted(records) == sorted(i for i, _ in jobs)
-    for index, cell in jobs:
+def _assert_matches_interp(cells, records):
+    assert len(records) == len(cells)
+    for cell, got in zip(cells, records):
         expected = run_cell(cell, kernel="interp")
-        got = records[index]
+        assert got.cell == cell
         assert got.outcome == expected.outcome
         assert got.detail == expected.detail
         assert got.steps == expected.steps
@@ -60,40 +63,52 @@ def _seed_sweep(base, seeds):
     return sweep
 
 
-def test_chunk_larger_than_cell_count():
-    jobs = list(enumerate(_cells(3)))
-    _assert_matches_interp(jobs, _collect(jobs, chunk=10**9))
+def _compiled_records(cells):
+    report = run_campaign(CellsCampaign(cells), kernel="compiled")
+    return report.records
 
 
 def test_single_seed_single_lane():
-    jobs = [(0, _cells(1)[0])]
-    _assert_matches_interp(jobs, _collect(jobs))
+    cells = _cells(1)
+    _assert_matches_interp(cells, _compiled_records(cells))
 
 
-def test_uneven_final_chunk():
-    # A chunk that never divides the step counts evenly: every lane's
-    # last advance() is a partial chunk.
-    jobs = list(enumerate(_cells(4)))
-    _assert_matches_interp(jobs, _collect(jobs, chunk=7))
+def test_compiled_seed_sweep_holds_one_run_at_a_time(monkeypatch):
+    """A 12-seed compiled sweep builds one ``CompiledRun`` per cell and
+    drops it before the next cell is built: at no record delivery, and
+    at no construction, is more than one run alive."""
+    live = weakref.WeakSet()
+    peaks = []
+    real_init = CompiledRun.__init__
+
+    def counted_init(self, *args, **kwargs):
+        gc.collect()
+        peaks.append(len(live) + 1)
+        real_init(self, *args, **kwargs)
+        live.add(self)
+
+    def on_cell(record):
+        gc.collect()
+        peaks.append(len(live))
+
+    monkeypatch.setattr(CompiledRun, "__init__", counted_init)
+    sweep = _seed_sweep(_cells(1)[0], range(12))
+    report = run_campaign(
+        CellsCampaign(sweep), kernel="compiled", on_cell=on_cell
+    )
+    assert report.complete and len(report.records) == 12
+    assert len(peaks) == 24  # 12 constructions, 12 deliveries
+    assert max(peaks) == 1
 
 
-def test_seed_sweep_shares_one_shape_group():
-    sweep = _seed_sweep(_cells(1)[0], range(5))
-    jobs = list(enumerate(sweep))
-    _assert_matches_interp(jobs, _collect(jobs))
-
-
-def test_mixed_compiled_and_fallback_lanes_share_cow_prefix(
-    monkeypatch,
-):
-    """Alternate lanes of one seed sweep between fully-compiled and
-    forced interpreter fallback; both kinds share one LaneState and the
-    records still match a serial interpreted run."""
+def test_mixed_compiled_and_fallback_cells_match_interp(monkeypatch):
+    """Alternate the cells of one seed sweep between fully-compiled and
+    forced interpreter fallback; a compiled campaign over them still
+    matches a serial interpreted run, record for record."""
     from repro.kernel import engine as engine_mod
-    from repro.kernel import lanes as lanes_mod
 
     real_compile = engine_mod.compile_automaton
-    real_run = lanes_mod.CompiledRun
+    real_init = CompiledRun.__init__
     force = {"fallback": False}
     built = []
 
@@ -104,25 +119,21 @@ def test_mixed_compiled_and_fallback_lanes_share_cow_prefix(
 
     toggle = itertools.count()
 
-    def make_run(system, scheduler, **kwargs):
+    def toggled_init(self, *args, **kwargs):
         force["fallback"] = bool(next(toggle) % 2)
         try:
-            run = real_run(system, scheduler, **kwargs)
+            real_init(self, *args, **kwargs)
         finally:
             force["fallback"] = False
-        built.append(run)
-        return run
+        built.append(self.fallback_pids)
 
     monkeypatch.setattr(engine_mod, "compile_automaton", flaky_compile)
-    monkeypatch.setattr(lanes_mod, "CompiledRun", make_run)
+    monkeypatch.setattr(CompiledRun, "__init__", toggled_init)
 
     sweep = _seed_sweep(_cells(1)[0], range(4))
-    jobs = list(enumerate(sweep))
-    _assert_matches_interp(jobs, _collect(jobs))
-    assert any(run.fallback_pids for run in built)
-    assert any(not run.fallback_pids for run in built)
-    states = {id(run._lane_state) for run in built}
-    assert states == {id(built[0]._lane_state)}  # one shared group
+    _assert_matches_interp(sweep, _compiled_records(sweep))
+    assert len(built) == 4
+    assert any(built) and not all(built)
 
 
 # -- LaneState unit behavior ----------------------------------------------
