@@ -377,7 +377,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         specimen_campaign,
         standard_campaign,
     )
-    from .errors import CampaignInterrupted
+    from .errors import CampaignInterrupted, ResilienceError
     from .resilience import (
         EXIT_RESUMABLE,
         CellBudget,
@@ -467,6 +467,12 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                 "resumable)"
             )
         return EXIT_RESUMABLE
+    except ResilienceError as exc:
+        # A setting or journal the campaign refuses is a usage error.
+        if fabric is not None:
+            fabric.close()
+        print(f"chaos run: {exc}", file=sys.stderr)
+        return 2
     except BaseException:
         if fabric is not None:
             fabric.close()  # never leak the listener on an error path
@@ -824,6 +830,10 @@ def main(argv: list[str] | None = None) -> int:
             "errors; 3 = no violations but at least one cell was "
             "quarantined (timeout/oom/worker_crash/flaky/partition) — "
             "coverage was lost, so CI cannot silently pass; "
+            "2 = usage error: a bad argument, or settings the campaign "
+            "refuses (e.g. --deadline-s with --backend inproc, --kernel "
+            "compiled with --backend fabric, a --resume journal of "
+            "another campaign); "
             "75 = interrupted with progress journaled (rerun with "
             "--resume)."
         ),

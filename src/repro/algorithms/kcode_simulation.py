@@ -127,6 +127,10 @@ def figure2_c_factory(spec: F2Spec, simulator_index: int):
     replica; apply newly decided log entries; act as position-``j``
     leader while at most ``k`` simulators are registered and it is the
     j-th smallest of them (Figure 2's Task 2, lines 33-34).
+
+    Only ``_apply_entry`` changes the replica, so its result register
+    and decisions are checked once at start and then only after an
+    entry is applied; a poll that applies nothing re-checks nothing.
     """
 
     def factory(ctx: ProcessContext):
@@ -151,27 +155,33 @@ def figure2_c_factory(spec: F2Spec, simulator_index: int):
         waited = 0
         backoff = 0
         mirrored: set[int] = set()
+        # Whether the replica changed since its result register and
+        # decisions were last checked: only ``_apply_entry`` changes it.
+        applied = True
         while True:
-            # Depart as soon as our own result exists (Figure 2 line 28).
-            if result_register is not None:
-                value = replica.memory.read(result_register)
-                if value is not None:
-                    yield ops.Write(active_register, "departed")
-                    yield ops.Decide(value)
-                    return
-            # Mirror simulated decisions for observers.
-            if len(mirrored) < k:
-                for j in range(k):
-                    if j not in mirrored and j in replica.decisions:
-                        yield ops.Write(
-                            spec.mirror_register(j), replica.decisions[j]
-                        )
-                        mirrored.add(j)
+            if applied:
+                applied = False
+                # Depart as soon as our own result exists (Figure 2 line 28).
+                if result_register is not None:
+                    value = replica.memory.read(result_register)
+                    if value is not None:
+                        yield ops.Write(active_register, "departed")
+                        yield ops.Decide(value)
+                        return
+                # Mirror simulated decisions for observers.
+                if len(mirrored) < k:
+                    for j in range(k):
+                        if j not in mirrored and j in replica.decisions:
+                            yield ops.Write(
+                                spec.mirror_register(j), replica.decisions[j]
+                            )
+                            mirrored.add(j)
             # Catch up on the agreed log (``paxos.read_decision``, with
             # the decision register named once per instance).
             cell = yield ops.Read(decision)
             if cell is not None:
                 _apply_entry(spec, replica, cell[1])
+                applied = True
                 t += 1
                 decision = paxos.decision_register(spec.log_instance(t))
                 ballot_round = 0
@@ -225,7 +235,9 @@ def figure2_s_factory(spec: F2Spec, s_index: int):
     Queries the detector; for each vector position naming it — and lying
     below ``min(k, ell)`` where ``ell`` simulators ever registered —
     proposes a step of that position's code at the first undecided log
-    instance.
+    instance.  The led positions depend only on the advice vector and
+    ``ell``, so they are rebuilt only when either differs from the
+    values they were last built from.
     """
 
     def factory(ctx: ProcessContext):
@@ -237,6 +249,10 @@ def figure2_s_factory(spec: F2Spec, s_index: int):
         ballot_round = 0
         waited = 0
         backoff = 0
+        # The advice and registered count ``positions`` was built from.
+        led_vector = None
+        led_ell = -1
+        positions: list[int] = []
         while True:
             advice = yield ops.QueryFD()
             vector = advice if isinstance(advice, tuple) else (advice,)
@@ -250,12 +266,15 @@ def figure2_s_factory(spec: F2Spec, s_index: int):
                 continue
             ever_cells = yield ops.Snapshot(ever_prefix)
             ell = len(ever_cells)
-            limit = min(spec.k, ell)
-            positions = [
-                j
-                for j in range(min(spec.k, len(vector)))
-                if vector[j] == me and j < limit
-            ]
+            if vector != led_vector or ell != led_ell:
+                led_vector = vector
+                led_ell = ell
+                limit = min(spec.k, ell)
+                positions = [
+                    j
+                    for j in range(min(spec.k, len(vector)))
+                    if vector[j] == me and j < limit
+                ]
             if not positions:
                 yield ops.Nop()
                 continue

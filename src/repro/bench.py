@@ -71,11 +71,11 @@ KERNEL_PAIRS = {
 #: synthetic executor workloads (medians: ``rw_n8`` 2.46x full / 2.50x
 #: smoke, ``nop_n32`` 1.69x / 2.05x, ``crashes`` 2.53x / 2.43x,
 #: ``snapshot`` 4.08x / 3.72x), 1.33x / 1.42x on the paxos-inlined one,
-#: and nothing measurable on campaigns, whose cells spend their time in
-#: costs both kernels share (``campaign_compiled`` 0.99x / 1.02x, the
-#: seed sweep 0.98x / 1.00x, compiled cells run one at a time as on
-#: every campaign route).  The floors still catch a compiled engine that
-#: falls well behind the interpreter.
+#: and little on campaigns, whose cells spend their time in costs both
+#: kernels share (``campaign_compiled`` 1.07x / 1.13x, the seed sweep
+#: 1.06x / 1.00x, compiled cells run one at a time as on every campaign
+#: route).  The floors still catch a compiled engine that falls well
+#: behind the interpreter.
 KERNEL_SPEEDUP_MIN = {
     "executor_compiled_rw_n8": 1.95,
     "executor_compiled_nop_n32": 1.35,

@@ -2,17 +2,21 @@
 
 Every smoke-campaign cell, plus ten crash-storm cells (both campaign
 workloads under the five registry schedulers, pattern ``(None, 1, 1)``,
-stabilization 12), run interpreted and traced through
-:func:`~repro.chaos.run_cell`.  Each cell's digest is a sha256 over
-``f"{time}|{pid}|{op!r}|{result!r}"`` for every trace event, followed by
-``f"{reason}|{steps}|{outputs!r}"``.
+stabilization 12) and four sweep-shaped cells (2-set agreement over
+vecOmega-2, no crashes, one seeded scheduler, stabilization 8: the
+first four cells of perfbench ``sweep``'s seed 0), run interpreted and
+traced through :func:`~repro.chaos.run_cell`.  Each cell's digest is a
+sha256 over ``f"{time}|{pid}|{op!r}|{result!r}"`` for every trace
+event, followed by ``f"{reason}|{steps}|{outputs!r}"``.
 
 The digests below were computed before the Figure 2/Paxos loops and the
-scheduler segments were optimized, and they do not depend on
+scheduler segments were optimized (the sweep-shaped ones before the
+Figure 2 loops stopped re-deriving their replica checks and led
+positions on every poll), and they do not depend on
 ``PYTHONHASHSEED``.  A change to the campaign path that moves one step,
 one operation or one result of any of these runs fails this test.  Run
 it with ``PYTHONPATH=src python -m pytest -q
-tests/chaos/test_campaign_traces.py`` (about 3 s).
+tests/chaos/test_campaign_traces.py`` (about 4 s).
 """
 
 import hashlib
@@ -21,6 +25,7 @@ import pytest
 
 from repro.chaos import (
     CampaignSpec,
+    Workload,
     run_cell,
     smoke_campaign,
     standard_campaign,
@@ -130,11 +135,28 @@ PINNED = {
     "set-agreement(n=3)/auto/vector-omega@12/crashes=2/inversion/seed=0": (
         "c1253b9165eedc124715ab2467810c3a095383b67312c2945c35cada2747d3d4"
     ),
+    "set-agreement(n=3)/auto/vector-omega@8/crashes=0/seeded/seed=903170602": (
+        "35c132ad3bb4179239bcdbff96407468464220e6652d813ad80b0d797a705ee2"
+    ),
+    "set-agreement(n=3)/auto/vector-omega@8/crashes=0/seeded/seed=86939546": (
+        "4192bb64e5a469fad5685539aaf16b401a607afcf9b0258a935139e080650daf"
+    ),
+    "set-agreement(n=3)/auto/vector-omega@8/crashes=0/seeded/seed=556019485": (
+        "f83f9c37f698295368a501979e30860cc44303e39b806cbfaa6f907007d22f7d"
+    ),
+    "set-agreement(n=3)/auto/vector-omega@8/crashes=0/seeded/seed=1043521778": (
+        "3fe4c3a00bf3e7fe07a5e41207930ce84e3feb5c82a51ee1555a9861524bf5c5"
+    ),
 }
+
+#: The sweep-shaped cells' scheduler seed and detector seeds.
+SWEEP_SCHEDULER_SEED = 827307999
+SWEEP_SEEDS = (903170602, 86939546, 556019485, 1043521778)
 
 
 def pinned_cells():
-    """The smoke campaign's 24 cells, then the ten crash-storm cells."""
+    """The smoke campaign's 24 cells, the ten crash-storm cells, then
+    the four sweep-shaped cells."""
     standard = standard_campaign()
     storm = CampaignSpec(
         name="pinned-storm",
@@ -145,7 +167,21 @@ def pinned_cells():
         stabilization_times=(12,),
         max_steps=150_000,
     )
-    return [*smoke_campaign().cells(), *storm.cells()]
+    sweep = CampaignSpec(
+        name="pinned-sweep",
+        workloads=[
+            Workload(
+                task={"family": "set-agreement", "n": 3, "k": 2},
+                detector={"family": "vector-omega", "k": 2},
+            )
+        ],
+        patterns=[[]],
+        schedulers=({"kind": "seeded", "seed": SWEEP_SCHEDULER_SEED},),
+        seeds=SWEEP_SEEDS,
+        stabilization_times=(8,),
+        max_steps=60_000,
+    )
+    return [*smoke_campaign().cells(), *storm.cells(), *sweep.cells()]
 
 
 def trace_digest(cell) -> str:
@@ -166,7 +202,7 @@ CELLS = pinned_cells()
 
 def test_cells_are_the_pinned_ones():
     labels = [cell.label() for cell in CELLS]
-    assert len(labels) == len(set(labels)) == 34
+    assert len(labels) == len(set(labels)) == 38
     assert set(labels) == set(PINNED)
 
 

@@ -471,6 +471,46 @@ class TestExitCodeContract:
         capsys.readouterr()
         assert code == 0
 
+    def test_inproc_budget_is_a_usage_error(self, capsys):
+        # In-process cells run no watchdog, so the campaign refuses a
+        # deadline: one line on stderr and exit 2, not a traceback.
+        code = main(
+            [
+                "chaos", "run", "--smoke", "--backend", "inproc",
+                "--deadline-s", "1",
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("chaos run: backend='inproc'")
+        assert "budget" in err and "Traceback" not in err
+
+    def test_fabric_compiled_kernel_is_a_usage_error(self, capsys):
+        import socket
+
+        code = main(
+            [
+                "chaos", "run", "--smoke", "--backend", "fabric",
+                "--kernel", "compiled",
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[-1].startswith("chaos run: backend='fabric'")
+        assert "kernel='compiled'" in lines[-1]
+        # The coordinator bound before the refusal and was closed: its
+        # port can be bound again.
+        address = lines[0].split("listening on ")[1].split()[0]
+        host, port = address.rsplit(":", 1)
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            probe.bind((host, int(port)))
+        finally:
+            probe.close()
+
     def test_worker_rejects_malformed_endpoint(self, capsys):
         assert main(["worker", "--connect", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
@@ -480,4 +520,4 @@ class TestExitCodeContract:
             main(["chaos", "run", "--help"])
         out = capsys.readouterr().out
         assert "exit codes" in out
-        assert "75" in out and "3 = " in out
+        assert "75" in out and "3 = " in out and "2 = usage error" in out
