@@ -9,7 +9,7 @@ read in steps-per-second.
 import pytest
 
 from repro.core import System
-from repro.runtime import Executor, RoundRobinScheduler, ops
+from repro.runtime import Executor, ExploringExecutor, RoundRobinScheduler, ops
 
 
 def spin(ctx):
@@ -118,12 +118,7 @@ def test_step_undo_roundtrip(benchmark):
 
     def run():
         system = System(inputs=(1,) * 4, c_factories=[reader_writer] * 4)
-        executor = Executor(
-            system,
-            RoundRobinScheduler(),
-            max_steps=200,
-            record_results=True,
-        )
+        executor = ExploringExecutor(system)
         path = []
         for _ in range(100):
             pid = executor.schedulable()[0]
@@ -145,9 +140,7 @@ def test_figure4_step_undo_roundtrip(benchmark):
         system = System(
             inputs=(1, 2, 3, None), c_factories=figure4_factories(4)
         )
-        executor = Executor(
-            system, RoundRobinScheduler(), record_results=True
-        )
+        executor = ExploringExecutor(system)
         path = []
         while True:
             candidates = [

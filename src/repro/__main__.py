@@ -408,19 +408,24 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     if args.backend == "fabric":
         from .resilience import FabricCoordinator
 
-        host, port = parse_endpoint(args.listen)
         # Bind before running so the (possibly ephemeral) port is
         # printed while workers can still be pointed at it; fabric
         # diagnostics go to stderr so stdout stays byte-identical to a
-        # serial run.
-        fabric = FabricCoordinator(
-            FabricConfig(
-                host=host,
-                port=port,
-                lease_s=args.lease_s,
-                register_grace_s=args.register_grace_s,
+        # serial run.  A malformed or unbindable --listen is a usage
+        # error.
+        try:
+            host, port = parse_endpoint(args.listen)
+            fabric = FabricCoordinator(
+                FabricConfig(
+                    host=host,
+                    port=port,
+                    lease_s=args.lease_s,
+                    register_grace_s=args.register_grace_s,
+                )
             )
-        )
+        except (ValueError, ResilienceError) as exc:
+            print(f"chaos run: {exc}", file=sys.stderr)
+            return 2
         bound_host, bound_port = fabric.address
         listen_actual = f"{bound_host}:{bound_port}"
         print(
@@ -833,7 +838,8 @@ def main(argv: list[str] | None = None) -> int:
             "2 = usage error: a bad argument, or settings the campaign "
             "refuses (e.g. --deadline-s with --backend inproc, --kernel "
             "compiled with --backend fabric, a --resume journal of "
-            "another campaign); "
+            "another campaign, a --listen address it cannot parse or "
+            "bind); "
             "75 = interrupted with progress journaled (rerun with "
             "--resume)."
         ),

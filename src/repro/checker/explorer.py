@@ -11,12 +11,13 @@ one exploring executor walks the whole of it.  Frontier entries are
 ``(schedule, sleep mask)`` pairs.  DFS order guarantees that the entry
 popped next was pushed by a node on the executor's current path, so
 visiting it means undoing back to that parent — one
-:meth:`~repro.runtime.executor.Executor.undo_to` call, O(1) per step —
-and taking one step, which mostly follows a known history-trie edge;
-no automaton code is re-run to backtrack.  The executor handed to the
-verdict and the candidate filter therefore moves on as soon as they
-return, and a violation's :class:`~repro.core.run.RunResult` is built
-by replaying its schedule on a fresh executor.
+:meth:`~repro.runtime.history_trie.ExploringExecutor.undo_to` call,
+O(1) per step — and taking one step, which mostly follows a known
+history-trie edge; no automaton code is re-run to backtrack.  The
+executor handed to the verdict and the candidate filter therefore
+moves on as soon as they return, and a violation's
+:class:`~repro.core.run.RunResult` is built by replaying its schedule
+on a fresh executor.
 
 Optional state-fingerprint deduplication (``dedup=True``) prunes
 interleavings that reach an execution state already explored at the
@@ -102,7 +103,7 @@ from ..core.system import System
 from ..errors import ResilienceError
 from ..resilience import atomic_write_bytes
 from ..runtime.executor import Executor
-from ..runtime.scheduler import ExplicitScheduler
+from ..runtime.history_trie import ExploringExecutor
 from .independence import StepFootprint, commutes, step_footprint
 from .symmetry import c_orbits, canonical_fingerprint, prune_interchangeable
 
@@ -198,11 +199,8 @@ class ScheduleExplorer:
         #: schedule of the node currently being visited.
         self.current_schedule: tuple[ProcessId, ...] = ()
         #: the one executor a :meth:`check` walks the tree with
-        self._executor: Executor | None = None
+        self._executor: ExploringExecutor | None = None
         self._system: System | None = None
-        # Exploring executors are driven via step_trusted and never
-        # consult their scheduler, so a single inert one serves them all.
-        self._scheduler = ExplicitScheduler([], strict=False)
 
     # -- executor management -------------------------------------------
 
@@ -215,13 +213,8 @@ class ScheduleExplorer:
             self._system = self.system_builder()
         return self._system
 
-    def _fresh_executor(self) -> Executor:
-        return Executor(
-            self._shared_system(),
-            self._scheduler,
-            max_steps=self.max_depth + 1,
-            record_results=True,
-        )
+    def _fresh_executor(self) -> ExploringExecutor:
+        return ExploringExecutor(self._shared_system())
 
     def _violation(self, schedule: tuple[ProcessId, ...]):
         """The result of a violating run, on an executor of its own:
@@ -232,7 +225,7 @@ class ScheduleExplorer:
         return executor.result("violation")
 
     def _branches(
-        self, executor: Executor, report: "ExplorationReport"
+        self, executor: ExploringExecutor, report: "ExplorationReport"
     ) -> Sequence[ProcessId]:
         candidates = executor.schedulable()
         if self.candidate_filter is not None:

@@ -37,10 +37,13 @@ node-level guard costs nothing in the common case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.process import ProcessId
 from ..runtime import ops
-from ..runtime.executor import Executor
+
+if TYPE_CHECKING:
+    from ..runtime.history_trie import ExploringExecutor
 
 __all__ = [
     "StepFootprint",
@@ -80,12 +83,13 @@ class StepFootprint:
     universal: bool = False
 
 
-def step_footprint(executor: Executor, pid: ProcessId) -> StepFootprint:
+def step_footprint(
+    executor: ExploringExecutor, pid: ProcessId
+) -> StepFootprint:
     """Footprint of the step ``pid`` would take next in ``executor``.
 
     A started process's footprint depends only on its pending operation,
-    so an exploring executor's is computed once per history-trie node
-    and cached there."""
+    so it is computed once per history-trie node and cached there."""
     node = executor.history_node(pid)
     if node is None:
         return _footprint(
@@ -132,7 +136,9 @@ def commutes(a: StepFootprint, b: StepFootprint) -> bool:
     )
 
 
-def independent(executor: Executor, p: ProcessId, q: ProcessId) -> bool:
+def independent(
+    executor: ExploringExecutor, p: ProcessId, q: ProcessId
+) -> bool:
     """Whether the pending steps of ``p`` and ``q`` are independent at
     the executor's current state.  Convenience entry point (the
     explorer computes footprints once per node instead)."""

@@ -19,8 +19,8 @@ Two reductions exploit this:
   operation equality matters: equal *results* alone do not imply the
   processes touched the same registers (an automaton may embed its own
   index in register names).  The exploring executor's history digest
-  (:meth:`~repro.runtime.executor.Executor.slot_view`) covers both
-  sequences, so equal digests are exactly this condition.
+  (:meth:`~repro.runtime.history_trie.ExploringExecutor.slot_view`)
+  covers both sequences, so equal digests are exactly this condition.
 
 * **Canonical fingerprints** (:func:`canonical_fingerprint`): the
   dedup fingerprint is made orbit-invariant by (a) listing each
@@ -39,12 +39,14 @@ Two reductions exploit this:
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..core.process import c_process
 from ..core.system import System, input_register
 from ..memory.registers import DIGEST_MASK
-from ..runtime.executor import Executor
+
+if TYPE_CHECKING:
+    from ..runtime.history_trie import ExploringExecutor
 
 __all__ = ["c_orbits", "prune_interchangeable", "canonical_fingerprint"]
 
@@ -66,7 +68,7 @@ def c_orbits(system: System) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _bundle(executor: Executor, index: int) -> tuple:
+def _bundle(executor: ExploringExecutor, index: int) -> tuple:
     return executor.slot_view(c_process(index)) + (
         repr(executor.decisions.get(index, _UNDECIDED)),
     )
@@ -81,7 +83,7 @@ _UNDECIDED = _Undecided()
 
 
 def prune_interchangeable(
-    executor: Executor,
+    executor: ExploringExecutor,
     orbits: tuple[tuple[int, ...], ...],
     candidates: tuple,
 ) -> tuple:
@@ -111,10 +113,10 @@ def prune_interchangeable(
 
 
 def canonical_fingerprint(
-    executor: Executor, orbits: tuple[tuple[int, ...], ...]
+    executor: ExploringExecutor, orbits: tuple[tuple[int, ...], ...]
 ) -> bytes:
-    """Orbit-invariant state digest (see module docstring).  Requires
-    an exploring executor (``record_results=True``)."""
+    """Orbit-invariant state digest (see module docstring), built from
+    the exploring executor's slot views and memory digest."""
     member_of: dict[int, int] = {}
     for orbit_no, orbit in enumerate(orbits):
         for index in orbit:

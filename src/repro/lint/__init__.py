@@ -51,7 +51,6 @@ from .runner import (
     STATIC_RULE_IDS,
     build_units,
     lint_algorithms,
-    lint_module,
 )
 from .static_rules import (
     ALL_RULES,
@@ -69,7 +68,6 @@ __all__ = [
     "AutomatonView",
     "extract_automata",
     "lint_algorithms",
-    "lint_module",
     "build_units",
     "STATIC_RULE_IDS",
     "SEMANTIC_RULE_IDS",

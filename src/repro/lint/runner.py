@@ -52,22 +52,6 @@ SEMANTIC_RULE_IDS = (
 DYNAMIC_RULE_IDS = ("FootprintAudit", "LostUpdate", "SnapshotRace")
 
 
-def lint_module(module: ModuleType, schema: ModuleSchema) -> list[Finding]:
-    """Apply the five legacy AST rules to one imported algorithm module.
-
-    Kept as the lightweight single-module entry point; the full pass
-    pipeline (IR, semantic passes, battery) runs via
-    :func:`lint_algorithms`.
-    """
-    unit = _build_unit(module.__name__.rsplit(".", 1)[-1], module, schema)
-    findings: list[Finding] = []
-    for rule_class in ALL_RULES:
-        rule = rule_class()
-        for view in unit.views:
-            findings.extend(rule.check(view, schema))
-    return findings
-
-
 def _build_unit(
     name: str, module: ModuleType, schema: ModuleSchema
 ) -> ModuleUnit:

@@ -16,6 +16,7 @@ _EXPORTS = {
         "personified",
     ),
     ".executor": ("Executor", "execute"),
+    ".history_trie": ("ExploringExecutor",),
     ".scheduler": (
         "AdversarialScheduler",
         "ExplicitScheduler",
@@ -40,6 +41,7 @@ if TYPE_CHECKING:
         personified,
     )
     from .executor import Executor, execute
+    from .history_trie import ExploringExecutor
     from .scheduler import (
         AdversarialScheduler,
         ExplicitScheduler,
@@ -64,6 +66,7 @@ __all__ = [
     "personified",
     "Executor",
     "execute",
+    "ExploringExecutor",
     "AdversarialScheduler",
     "ExplicitScheduler",
     "PrioritizedScheduler",

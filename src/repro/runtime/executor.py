@@ -37,57 +37,21 @@ operation take the step-by-step path (:meth:`_step`, which
 :meth:`step` uses), so the loop's operation dispatch duplicates only
 :meth:`_step`'s hot branches.
 
-An executor constructed with ``record_results=True`` explores
-(:mod:`repro.checker.explorer`): instead of one generator per process it
-walks a per-process history trie (:mod:`repro.runtime.history_trie`),
-and a step that meets a known result just follows the edge.
-:meth:`step`, :meth:`step_trusted` and :meth:`run` of an exploring
-executor all take one step path, :meth:`_explore_step`, which performs
-every operation inline and re-derives nothing its trie node fixes.  A
-``Write`` node caches its register's digest term.  A ``Snapshot`` of
-a prefix that is exactly one bucket's key, with no other bucket
-extending it, keys its edge by the bucket's content digest
-(:meth:`~repro.memory.registers.DigestedRegisterFile.snapshot_digest`),
-so the snapshot dict is built and ``repr``'d only when that edge is
-new; every other prefix (a partial leaf, ``""``, one that spans
-buckets) keys its edge by the snapshot's ``repr``.  Both keys lead to
-the same child: equal ``(name, repr(value))`` sets give equal digests,
-and distinct ones collide with probability about 2^-128, the argument
-the memory digest rests on.
-
-An exploring executor backtracks by undoing steps.  Each of its steps
-pushes one undo record — the stepped slot's previous trie node,
-counters and fingerprint term, the previous sum of slot terms, the
-prior state of the one register the step may write, the schedulable
-tuple and crash-queue position before the step, and whether the step
-started a C-process or the decided state a decision replaced — and
-:meth:`undo_to` pops records back to an earlier time, reverting each
-step in O(1), by assignment, and running no automaton code.
-:meth:`fingerprint` is a sum of terms (:mod:`repro.runtime.history_trie`):
-the time's, cached; the decided vector's, which decisions and undos
-keep with the vector; the memory digest, which the
-:class:`~repro.memory.registers.DigestedRegisterFile` keeps current on
-every write and undo; and the slot terms' sum, which every step and
-undo keep current.  So a fingerprint reads no memory and hashes only a
-time not seen before.  A plain executor keeps no undo records and no
-terms.
+The explorer steps a subclass,
+:class:`~repro.runtime.history_trie.ExploringExecutor`, which walks
+history tries instead of owning generators and can undo its steps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..core.process import ProcessId, c_process, s_process
 from ..core.run import RunResult
 from ..core.system import System, input_register
 from ..errors import ProtocolError, SchedulingError
-from ..memory.registers import (
-    DIGEST_MASK,
-    DigestedRegisterFile,
-    RegisterFile,
-    register_term,
-)
+from ..memory.registers import RegisterFile
 from . import ops
 from .scheduler import (
     FIXED,
@@ -99,18 +63,11 @@ from .scheduler import (
 )
 from .trace import Trace, TraceEvent
 
-if TYPE_CHECKING:
-    from .history_trie import HistoryNode, TrieSlot
-
-
 
 class _ProcessSlot:
     """Runtime state of one process driven by its own generator."""
 
     __slots__ = ("pid", "generator", "pending", "halted", "started", "steps")
-
-    #: a generator-driven slot has no history-trie position
-    node: "HistoryNode | None" = None
 
     def __init__(self, pid: ProcessId, generator) -> None:
         self.pid = pid
@@ -135,11 +92,6 @@ class _ProcessSlot:
             self.pending = None
 
 
-#: Undo-record event: the step started a C-process (a decision's event
-#: is the decided state it replaced).
-_STARTED = 1
-
-
 class Executor:
     """Drives one system to completion.
 
@@ -152,11 +104,10 @@ class Executor:
         stop_when: optional predicate over the executor; when it returns
             true the run stops with reason ``"predicate"``.  Used by
             reduction algorithms that never "decide".
-        record_results: make this an exploring executor: it walks the
-            system's per-process history tries instead of owning
-            generators, and every step can be undone (:meth:`undo`) and
-            the state fingerprinted (:meth:`fingerprint`).
     """
+
+    #: the register file class :meth:`__init__` builds
+    _memory_type = RegisterFile
 
     def __init__(
         self,
@@ -166,61 +117,24 @@ class Executor:
         max_steps: int = 200_000,
         trace: bool = False,
         stop_when: Callable[["Executor"], bool] | None = None,
-        record_results: bool = False,
     ) -> None:
         self.system = system
         self.scheduler = scheduler
         self.max_steps = max_steps
         self.stop_when = stop_when
-        self.memory: RegisterFile = (
-            DigestedRegisterFile() if record_results else RegisterFile()
-        )
+        self.memory: RegisterFile = self._memory_type()
         self.trace = Trace(enabled=trace)
         self.time = 0
         self.decisions: dict[int, Any] = {}
-        self.record_results = record_results
-        #: one record per step of an exploring executor (see :meth:`undo`)
-        self._undo: list[tuple] | None = [] if record_results else None
-        self._slots: dict[ProcessId, _ProcessSlot | TrieSlot] = {}
+        self._slots: dict[ProcessId, Any] = {}
         self._decided_vector: tuple[Any, ...] | None = None
-        if record_results:
-            # Plain runs never import the tries (nor, without cached
-            # bytecode, compile them).
-            from . import history_trie
-            from .history_trie import TrieSlot, trie_of
-
-            #: the module defining the fingerprint's terms
-            self._terms = history_trie
-            #: ``time_term(t)`` for every time ``t`` fingerprinted so far
-            self._time_terms: list[int] = []
-            self._decided_vector = vector = (None,) * system.n_c
-            self._decided_term = history_trie.decided_term(vector)
         # Insertion order is the canonical sorted order (all C before S,
         # then by index), which keeps the schedulable list sorted for free.
         for pid in system.all_pids():
-            if record_results:
-                slot: _ProcessSlot | TrieSlot = TrieSlot(
-                    pid, trie_of(system, pid)
-                )
-            else:
-                factories = (
-                    system.c_factories
-                    if pid.is_computation
-                    else system.s_factories
-                )
-                slot = _ProcessSlot(
-                    pid, factories[pid.index](system.context_for(pid))
-                )
+            slot = self._new_slot(pid)
             if not pid.is_computation:
                 slot.prime()
             self._slots[pid] = slot
-        #: the sum of an exploring executor's slot terms, kept current by
-        #: every step and undo
-        self._slot_sum = (
-            sum(slot.term for slot in self._slots.values())
-            if record_results
-            else 0
-        )
         # -- incremental schedulability state --------------------------
         self._started: set[int] = set()
         self._started_frozen: frozenset[int] | None = frozenset()
@@ -231,6 +145,15 @@ class Executor:
         self._schedulable: list[ProcessId] = []
         self._schedulable_tuple: tuple[ProcessId, ...] | None = None
         self._rebuild_schedulable()
+
+    def _new_slot(self, pid: ProcessId) -> _ProcessSlot:
+        """The runtime state of ``pid``: a fresh generator of its
+        automaton."""
+        system = self.system
+        factories = (
+            system.c_factories if pid.is_computation else system.s_factories
+        )
+        return _ProcessSlot(pid, factories[pid.index](system.context_for(pid)))
 
     # -- observation ----------------------------------------------------
 
@@ -248,8 +171,7 @@ class Executor:
 
     def decided_vector(self) -> tuple:
         """The output vector so far (``None`` for undecided processes),
-        cached between decisions, and kept through decisions and undos
-        by an exploring executor, so per-node safety verdicts can key
+        cached between decisions, so per-node safety verdicts can key
         caches on this."""
         if self._decided_vector is None:
             decisions = self.decisions
@@ -273,32 +195,6 @@ class Executor:
                 input_register(pid.index), self.system.inputs[pid.index]
             )
         return slot.pending
-
-    def slot_view(self, pid: ProcessId) -> tuple:
-        """One process's execution history, for symmetry comparisons:
-        ``(started, halted, steps, digest)``.  The digest covers every
-        operation the process performed and every result it received
-        (all zero bytes before a C-process starts).  Requires
-        ``record_results=True``."""
-        if not self.record_results:
-            raise ProtocolError(
-                "slot_view() requires an executor constructed with "
-                "record_results=True"
-            )
-        slot = self._slots[pid]
-        node = slot.node
-        return (
-            slot.started,
-            slot.halted,
-            slot.steps,
-            self._terms.NO_HISTORY if node is None else node.digest,
-        )
-
-    def history_node(self, pid: ProcessId) -> HistoryNode | None:
-        """The history-trie node ``pid`` is at: ``None`` before a
-        C-process starts, and always for a plain executor.  A started
-        process's next step depends only on its node."""
-        return self._slots[pid].node
 
     def crashes_pending(self) -> bool:
         """Whether the failure pattern still holds crash transitions at
@@ -329,7 +225,7 @@ class Executor:
 
     def _rebuild_schedulable(self) -> None:
         """Recompute the candidate list from scratch (construction only;
-        steps maintain it incrementally and undo records carry it)."""
+        steps maintain it incrementally)."""
         self._crash_pos = bisect_right(
             self._crash_queue, (self.time, float("inf"))
         )
@@ -384,217 +280,14 @@ class Executor:
             raise SchedulingError(f"unknown process {pid}")
         if pid not in self._schedulable:
             raise SchedulingError(f"{pid} is not schedulable at t={self.time}")
-        if self._undo is None:
-            self._step(pid, slot)
-        else:
-            self._explore_step(pid, slot)
+        self._step(pid, slot)
 
     def step_trusted(self, pid: ProcessId) -> None:
         """Trusted-caller step path: the caller guarantees ``pid`` is
         currently schedulable (e.g. it was just taken from
         :meth:`schedulable`, as the exhaustive explorer does), so the
         membership re-check is skipped."""
-        if self._undo is None:
-            self._step(pid, self._slots[pid])
-        else:
-            self._explore_step(pid, self._slots[pid])
-
-    def _explore_step(self, pid: ProcessId, slot: TrieSlot) -> None:
-        """The step of an exploring executor: :meth:`_step`'s step over
-        the process's history trie, with every operation performed
-        inline, plus the undo record :meth:`undo_to` pops.
-
-        A known edge is followed without running automaton code, a
-        ``Write`` applies the term cached on its node, and a one-bucket
-        ``Snapshot`` looks its edge up by the bucket's digest, so the
-        snapshot is built (and ``repr``'d) only when that edge is new.
-        On such a hit the trace records the child's stored result."""
-        memory = self.memory
-        schedulable = self._schedulable_tuple
-        if schedulable is None:
-            schedulable = self._schedulable_tuple = tuple(self._schedulable)
-        node = slot.node
-        pending = slot.pending
-        started = slot.started
-        halted = slot.halted
-        steps = slot.steps
-        prior_term = slot.term
-        slot_sum = self._slot_sum
-        crash_pos = self._crash_pos
-        time = self.time
-        events = self.trace.events if self.trace.enabled else None
-        write = event = None
-        if node is None:
-            # The paper: the first step of a C-process writes its input.
-            index = pid.index
-            name = input_register(index)
-            value = self.system.inputs[index]
-            memory.write(name, value)
-            write = memory.last_write
-            event = _STARTED
-            slot.started = True
-            self._started.add(index)
-            self._started_frozen = None
-            child = slot.trie.root()
-            if events is not None:
-                events.append(
-                    TraceEvent(time, pid, ops.Write(name, value), None)
-                )
-        else:
-            op = node.pending
-            op_type = type(op)
-            children = node.children
-            # Exact-type dispatch, most frequent operations first.
-            if op_type is ops.Write:
-                term = node.term
-                if term is None:
-                    term = node.term = register_term(op.register, op.value)
-                memory.write_term(op.register, op.value, term)
-                write = memory.last_write
-                result = None
-                child = children.get("None") or slot.trie.child(
-                    node, "None", None
-                )
-            elif op_type is ops.Snapshot:
-                digest = memory.snapshot_digest(op.prefix)
-                edges = node.snapshot_children
-                child = (
-                    None
-                    if digest is None or edges is None
-                    else edges.get(digest)
-                )
-                if child is None:
-                    result = memory.snapshot(op.prefix)
-                    key = repr(result)
-                    child = children.get(key) or slot.trie.child(
-                        node, key, result
-                    )
-                    if digest is not None:
-                        if edges is None:
-                            edges = node.snapshot_children = {}
-                        edges[digest] = child
-                else:
-                    result = child.result
-            elif op_type is ops.Decide:
-                if pid.is_synchronization:
-                    raise ProtocolError("S-processes cannot decide")
-                index = pid.index
-                vector = self._decided_vector
-                decided = self._decided_term
-                event = (vector, decided, self._decided_frozen)
-                self._decided_vector, self._decided_term = slot.trie.decide(
-                    node, vector, decided
-                )
-                self.decisions[index] = op.value
-                self._decided_frozen = None
-                self._undecided.discard(index)
-                result = None
-                child = node
-                slot.halted = True
-                self._retire(pid)
-            else:
-                if op_type is ops.Nop:
-                    result = None
-                elif op_type is ops.Read:
-                    result = memory.read(op.register)
-                elif op_type is ops.QueryFD:
-                    if pid.is_computation:
-                        raise ProtocolError(
-                            "C-processes cannot query the detector"
-                        )
-                    result = self.system.history.value(pid.index, time)
-                else:  # CompareAndSwap, or an unusual operation
-                    memory.last_write = None
-                    if op_type is ops.CompareAndSwap:
-                        result = memory.compare_and_swap(
-                            op.register, op.expected, op.new
-                        )
-                    else:
-                        result = self._perform(pid, op)
-                    write = memory.last_write
-                key = repr(result)
-                child = children.get(key) or slot.trie.child(
-                    node, key, result
-                )
-            if events is not None:
-                events.append(TraceEvent(time, pid, op, result))
-        if child is not node:
-            slot.node = child
-            slot.pending = child.pending
-            if child.halted:
-                slot.halted = True
-                self._retire(pid)
-            new_term = child.slot_term
-        else:
-            # A decision: the process halts at the node it sits at.
-            new_term = slot.trie.halted_term(node)
-        slot.term = new_term
-        self._slot_sum = slot_sum - prior_term + new_term
-        slot.steps = steps + 1
-        time += 1
-        self.time = time
-        queue = self._crash_queue
-        if crash_pos < len(queue) and queue[crash_pos][0] <= time:
-            self._retire_crashed(time)
-        self._undo.append(
-            (
-                slot, node, pending, started, halted, steps, prior_term,
-                slot_sum, write, schedulable, crash_pos, event,
-            )
-        )
-
-    def undo(self) -> None:
-        """Revert the last step of an exploring executor
-        (``record_results=True``): ``undo_to(time - 1)``."""
-        self.undo_to(self.time - 1)
-
-    def undo_to(self, time: int) -> None:
-        """Revert an exploring executor's (``record_results=True``)
-        steps back to ``time``, in O(1) per step: every state this
-        executor exposes — time, memory, decisions, the schedulable set,
-        each process's trie position — returns to what it was at
-        ``time``, and no automaton code runs."""
-        records = self._undo
-        if records is None or not 0 <= time <= self.time:
-            raise ProtocolError(
-                f"undo_to({time}) needs an exploring executor "
-                f"(record_results=True) that has taken a step since then "
-                f"(it is at time {self.time})"
-            )
-        if time == self.time:
-            return
-        pop = records.pop
-        revert = self.memory.revert
-        events = self.trace.events if self.trace.enabled else None
-        for _ in range(self.time - time):
-            (
-                slot, slot.node, slot.pending, slot.started, slot.halted,
-                slot.steps, slot.term, slot_sum, write, schedulable,
-                crash_pos, event,
-            ) = pop()
-            if write is not None:
-                revert(*write)
-            if event is not None:
-                index = slot.pid.index
-                if event == _STARTED:
-                    self._started.discard(index)
-                    self._started_frozen = None
-                else:
-                    del self.decisions[index]
-                    self._undecided.add(index)
-                    (
-                        self._decided_vector,
-                        self._decided_term,
-                        self._decided_frozen,
-                    ) = event
-            if events is not None:
-                events.pop()
-        self.time = time
-        self._slot_sum = slot_sum
-        self._crash_pos = crash_pos
-        if schedulable is not self._schedulable_tuple:
-            self._schedulable = list(schedulable)
-            self._schedulable_tuple = schedulable
+        self._step(pid, self._slots[pid])
 
     def _step(self, pid: ProcessId, slot: _ProcessSlot) -> None:
         if pid.is_computation and not slot.started:
@@ -691,35 +384,6 @@ class Executor:
             return None
         raise ProtocolError(f"{pid} yielded a non-operation: {op!r}")
 
-    # -- state identity ---------------------------------------------------
-
-    def fingerprint(self) -> bytes:
-        """Digest of the full execution state, for state deduplication.
-
-        Two executors with equal fingerprints have identical futures:
-        each process's history digest determines its automaton's state
-        (see the module docstring), and memory, decisions, and time
-        determine everything else.  It is their terms' sum mod 2^128,
-        as 16 bytes.  Requires ``record_results=True``.
-        """
-        if not self.record_results:
-            raise ProtocolError(
-                "fingerprint() requires an executor constructed with "
-                "record_results=True"
-            )
-        terms = self._terms
-        time = self.time
-        time_terms = self._time_terms
-        if time >= len(time_terms):
-            time_terms.extend(
-                map(terms.time_term, range(len(time_terms), time + 1))
-            )
-        decided = self._decided_term
-        return (
-            (time_terms[time] + decided + self.memory.digest + self._slot_sum)
-            & DIGEST_MASK
-        ).to_bytes(16, "little")
-
     # -- driving -----------------------------------------------------------
 
     def run(self) -> RunResult:
@@ -755,10 +419,6 @@ class Executor:
         participants = self.system.participants
         events = self.trace.events if self.trace.enabled else None
         stop_when = self.stop_when
-        # History-trie slots resume through their trie: every step of an
-        # exploring executor takes :meth:`_explore_step`.
-        exploring = self.record_results
-        step = self._explore_step if exploring else self._step
         max_steps = self.max_steps
         queue = self._crash_queue
         scheduler = self.scheduler
@@ -862,7 +522,7 @@ class Executor:
                         slot = seg_slots[r]
                     pid = slot.pid
                 op = slot.pending
-                op_type = None if exploring else type(op)
+                op_type = type(op)
                 # _step's exact-type dispatch, minus its cold branches;
                 # reads first, the most frequent operation in campaigns.
                 if op_type is Read:
@@ -883,10 +543,10 @@ class Executor:
                 elif op_type is CompareAndSwap:
                     result = compare_and_swap(op.register, op.expected, op.new)
                 else:
-                    # A C-process's first step, a decision, an unusual
-                    # operation, or a history-trie slot.
+                    # A C-process's first step, a decision, or an
+                    # unusual operation.
                     self.time = time
-                    step(pid, slot)
+                    self._step(pid, slot)
                     time = resync_at = self.time
                     continue
                 if events is not None:

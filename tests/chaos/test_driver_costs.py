@@ -106,6 +106,7 @@ UNNEEDED = (
     "repro.resilience.worker",
     "repro.analysis.reporting",
     "repro.analysis.traceview",
+    "repro.runtime.history_trie",
     "repro.algorithms.",
 )
 NEEDED = {
@@ -123,8 +124,8 @@ NEEDED = {
 
 def test_one_cell_loads_no_analyzer_module():
     # Neither the analyzer nor the kernel, nor the campaign's other
-    # routes (bundles, shrinking, the fabric), nor an algorithm the
-    # cell's solver does not run.
+    # routes (bundles, shrinking, the fabric), nor the exploring
+    # executor, nor an algorithm the cell's solver does not run.
     assert _probe(CELL_PROBE) == []
 
 

@@ -18,7 +18,7 @@ from repro.checker import (
 from repro.core import System
 from repro.core.process import c_process
 from repro.errors import ProtocolError
-from repro.runtime import Executor, ops
+from repro.runtime import Executor, ExploringExecutor, ops
 from repro.runtime.scheduler import ExplicitScheduler
 from repro.tasks import ConsensusTask, RenamingTask, SetAgreementTask
 
@@ -152,12 +152,7 @@ class TestUndo:
         # over an edge the trie already knows just follows it.
         counted, counter = _counting(figure4_factory)
         system = System(inputs=(1, 2, None), c_factories=[counted] * 3)
-        executor = Executor(
-            system,
-            ExplicitScheduler([], strict=False),
-            max_steps=50,
-            record_results=True,
-        )
+        executor = ExploringExecutor(system)
         schedule = [c_process(0), c_process(1)] * 3
         for pid in schedule:
             executor.step(pid)
@@ -176,11 +171,7 @@ class TestUndo:
         # The safety verdict keys its cache on these objects: undoing a
         # step that neither started nor decided a process keeps them.
         system = System(inputs=(1, 2, None), c_factories=figure4_factories(3))
-        executor = Executor(
-            system,
-            ExplicitScheduler([], strict=False),
-            record_results=True,
-        )
+        executor = ExploringExecutor(system)
         executor.step(c_process(0))
         started, vector = executor.started_c, executor.decided_vector()
         executor.step(c_process(0))
@@ -192,14 +183,11 @@ class TestUndo:
 
     def test_undo_needs_an_exploring_executor_with_a_step(self):
         system = System(inputs=(1, 2, None), c_factories=figure4_factories(3))
-        for record_results in (False, True):
-            executor = Executor(
-                system,
-                ExplicitScheduler([], strict=False),
-                record_results=record_results,
-            )
-            with pytest.raises(ProtocolError, match="undo"):
-                executor.undo()
+        plain = Executor(system, ExplicitScheduler([], strict=False))
+        for name in ("undo", "undo_to", "fingerprint", "slot_view"):
+            assert not hasattr(plain, name), name
+        with pytest.raises(ProtocolError, match="undo"):
+            ExploringExecutor(system).undo()
 
     def test_violations_equal_fresh_replays(self):
         # The explorer's one executor moves on after a violation; the

@@ -1,6 +1,6 @@
 """Generative check of the exploring executor's state identity.
 
-An exploring executor (``record_results=True``) identifies a process's
+An exploring executor (``ExploringExecutor``) identifies a process's
 state by its history-trie digest instead of keeping what it received.
 Over random legal schedules of the Figure 4 and k-set-concurrent
 systems, two exploring executors must have equal fingerprints exactly
@@ -9,7 +9,7 @@ result, reaches equal states; and symmetry pruning must keep exactly
 the candidates the reference logs say are interchangeable.  Undoing
 steps must leave an exploring executor exactly where a fresh one
 replaying the surviving path gets, in every observable, and where a
-plain executor (``record_results=False``) gets in memory, decisions and
+plain executor (``Executor``) gets in memory, decisions and
 trace; a state reached by backtracking, as the explorer reaches states,
 must have the fingerprint of the same state reached by stepping; and
 every step and undo must keep the register file's digests, the
@@ -26,7 +26,7 @@ from repro.core import FailurePattern, System
 from repro.core.process import c_process
 from repro.core.system import null_automaton
 from repro.memory.registers import register_term
-from repro.runtime import Executor, ops
+from repro.runtime import Executor, ExploringExecutor, ops
 from repro.runtime.history_trie import decided_term, slot_term, time_term
 from repro.runtime.scheduler import ExplicitScheduler
 
@@ -74,10 +74,8 @@ def _pair(case):
         ),
         ExplicitScheduler([], strict=False),
     )
-    exploring = Executor(
-        System(inputs=inputs, c_factories=[factory] * n),
-        ExplicitScheduler([], strict=False),
-        record_results=True,
+    exploring = ExploringExecutor(
+        System(inputs=inputs, c_factories=[factory] * n)
     )
     return exploring, reference, recorder
 
@@ -420,12 +418,7 @@ def test_step_undo_matches_fresh_replay(case, actions):
     # Any interleaving of steps and undos must leave the executor
     # exactly where a fresh executor stepping the surviving path gets,
     # and where a plain one does in memory, decisions and trace.
-    executor = Executor(
-        _undo_system(case),
-        ExplicitScheduler([], strict=False),
-        trace=True,
-        record_results=True,
-    )
+    executor = ExploringExecutor(_undo_system(case), trace=True)
     path = []
     for action in actions:
         # Keeps a cached whole-memory snapshot for undos to invalidate.
@@ -443,12 +436,7 @@ def test_step_undo_matches_fresh_replay(case, actions):
         _check_memory(executor.memory)
         _check_fingerprint(executor)
         _check_tries(executor.system)
-    fresh = Executor(
-        _undo_system(case),
-        ExplicitScheduler([], strict=False),
-        trace=True,
-        record_results=True,
-    )
+    fresh = ExploringExecutor(_undo_system(case), trace=True)
     plain = Executor(
         _undo_system(case), ExplicitScheduler([], strict=False), trace=True
     )

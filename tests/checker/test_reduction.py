@@ -21,8 +21,7 @@ from repro.checker import (
 )
 from repro.core import FailurePattern, System
 from repro.core.process import c_process, s_process
-from repro.runtime import Executor, ops
-from repro.runtime.scheduler import ExplicitScheduler
+from repro.runtime import ExploringExecutor, ops
 from repro.tasks import (
     IdentityTask,
     RenamingTask,
@@ -46,16 +45,6 @@ def _querier(ctx):
         yield ops.QueryFD()
 
 
-def _executor(system, **kwargs):
-    return Executor(
-        system,
-        ExplicitScheduler([], strict=False),
-        max_steps=1_000,
-        record_results=True,
-        **kwargs,
-    )
-
-
 class TestCommutation:
     def _started_pair(self, pattern=None, s_factories=None):
         system = System(
@@ -64,7 +53,7 @@ class TestCommutation:
             s_factories=s_factories,
             pattern=pattern,
         )
-        executor = _executor(system)
+        executor = ExploringExecutor(system)
         for i in range(2):
             executor.step(c_process(i))  # mandated input writes
         return executor
@@ -77,7 +66,7 @@ class TestCommutation:
         system = System(
             inputs=(0, 1), c_factories=[_writer("a"), _writer("b")]
         )
-        executor = _executor(system)
+        executor = ExploringExecutor(system)
         # Unstarted C-processes extend the participating set: universal.
         assert not independent(executor, c_process(0), c_process(1))
 
@@ -87,7 +76,7 @@ class TestCommutation:
             c_factories=[_writer("a"), _writer("b")],
             s_factories=[_querier, _querier],
         )
-        executor = _executor(system)
+        executor = ExploringExecutor(system)
         for i in range(2):
             executor.step(c_process(i))
         fp = step_footprint(executor, s_process(0))
@@ -111,7 +100,7 @@ class TestCommutation:
             inputs=(0, 1),
             c_factories=list(identity_factories(2)),
         )
-        executor = _executor(system)
+        executor = ExploringExecutor(system)
         for i in range(2):
             executor.step(c_process(i))
         assert isinstance(executor.peek(c_process(0)), ops.Decide)
@@ -126,7 +115,7 @@ class TestCommutation:
             inputs=(0, 1, 2),
             c_factories=[_writer("a/x"), _writer("b/x"), snapper],
         )
-        executor = _executor(system)
+        executor = ExploringExecutor(system)
         for i in range(3):
             executor.step(c_process(i))
         assert not independent(executor, c_process(0), c_process(2))
@@ -136,7 +125,7 @@ class TestCommutation:
         system = System(
             inputs=(0, 1), c_factories=[_writer("a"), _writer("a")]
         )
-        executor = _executor(system)
+        executor = ExploringExecutor(system)
         for i in range(2):
             executor.step(c_process(i))
         assert not independent(executor, c_process(0), c_process(1))
@@ -325,7 +314,7 @@ class TestSymmetry:
 
     def test_prune_interchangeable_keeps_smallest(self):
         system = self._symmetric_system()
-        executor = _executor(system)
+        executor = ExploringExecutor(system)
         orbits = c_orbits(system)
         candidates = tuple(
             pid for pid in executor.schedulable() if pid.is_computation
@@ -344,7 +333,7 @@ class TestSymmetry:
         orbits = c_orbits(self._symmetric_system())
 
         def stepped(index):
-            executor = _executor(self._symmetric_system())
+            executor = ExploringExecutor(self._symmetric_system())
             executor.step(c_process(index))
             return executor
 

@@ -81,3 +81,16 @@ class TestChaosCLI:
     def test_chaos_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["chaos"])
+
+    def test_malformed_listen_is_a_usage_error(self, capsys):
+        argv = ["chaos", "run", "--smoke", "--backend", "fabric"]
+        assert main(argv + ["--listen", "nonsense"]) == 2
+        err = capsys.readouterr().err
+        assert err == "chaos run: expected HOST:PORT, got 'nonsense'\n"
+
+    def test_unbindable_listen_is_a_usage_error(self, capsys):
+        # A documentation address (RFC 5737) no local interface holds.
+        argv = ["chaos", "run", "--smoke", "--backend", "fabric"]
+        assert main(argv + ["--listen", "203.0.113.1:0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chaos run: fabric cannot bind 203.0.113.1:0")

@@ -13,8 +13,13 @@ equal.
   engine's general loop consumes the same scheduler segments, so under
   the burst, shadow and inversion schedulers its runs must equal the
   stepped ones too, also when advanced in short chunks.
+* The exploring step: an :class:`ExploringExecutor` stepped with the
+  scheduler's picks must give the run :meth:`Executor.run` gives, for
+  every scheduler kind, so the three step paths (``run``, ``_step`` and
+  the exploring ``_step``) agree.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +32,12 @@ from repro.chaos.registry import (
 )
 from repro.core import System
 from repro.core.failures import FailurePattern
-from repro.errors import SchedulingError
+from repro.errors import ProtocolError, SchedulingError
 from repro.kernel.differential import canonical_result
 from repro.kernel.engine import CompiledRun
 from repro.runtime import (
     Executor,
+    ExploringExecutor,
     RoundRobinScheduler,
     SeededRandomScheduler,
     ops,
@@ -191,11 +197,12 @@ class TestInlinePicks:
         assert exact._cursor == general._cursor > 0
 
 
-def drive_stepwise(system, scheduler, *, max_steps, trace, stop_when=None):
-    """The run loop spelled out over the public stepping API."""
-    executor = Executor(system, scheduler, max_steps=max_steps, trace=trace)
+def drive_stepwise(executor, scheduler, *, stop_when=None):
+    """The run loop spelled out over the public stepping API: steps
+    ``executor`` with ``scheduler``'s picks up to its ``max_steps``."""
+    system = executor.system
     reason = "budget"
-    while executor.time < max_steps:
+    while executor.time < executor.max_steps:
         if system.participants <= executor.decided_c:
             reason = "all_decided"
             break
@@ -266,11 +273,10 @@ def both_paths(build, make_scheduler, *, max_steps, trace, stop_when=None):
         trace=trace,
         stop_when=stop_when,
     ).run()
+    scheduler = make_scheduler()
     stepped = drive_stepwise(
-        build(),
-        make_scheduler(),
-        max_steps=max_steps,
-        trace=trace,
+        Executor(build(), scheduler, max_steps=max_steps, trace=trace),
+        scheduler,
         stop_when=stop_when,
     )
     return canonical_result(fused), canonical_result(stepped)
@@ -315,12 +321,16 @@ class TestRunEqualsStepping:
             for build in systems:
                 for max_steps in (90, 4_000):
                     for trace in (False, True):
+                        scheduler = make()
                         stepped = canonical_result(
                             drive_stepwise(
-                                build(),
-                                make(),
-                                max_steps=max_steps,
-                                trace=trace,
+                                Executor(
+                                    build(),
+                                    scheduler,
+                                    max_steps=max_steps,
+                                    trace=trace,
+                                ),
+                                scheduler,
                             )
                         )
                         for chunk in (None, 7):
@@ -354,25 +364,36 @@ class TestRunEqualsStepping:
             )
             assert fused == stepped
 
-    def test_exploring_executor_takes_the_step_path(self):
-        # History-trie slots resume through their trie, so every step of
-        # an exploring executor goes through _step; the run must not
-        # change.
-        for spec in REGISTRY_SPECS[:4]:
-            for trace in (False, True):
-                runs = [
-                    canonical_result(
-                        Executor(
-                            synthetic_system((None, 2, None, 7, 40, 1)),
-                            build_scheduler(spec),
-                            max_steps=300,
-                            trace=trace,
-                            record_results=exploring,
-                        ).run()
-                    )
-                    for exploring in (False, True)
-                ]
-                assert runs[0] == runs[1], (spec, trace)
+    def test_exploring_step_equals_the_run_loop(self):
+        # The exploring executor's own step, driven by the scheduler's
+        # picks, against Executor.run: every registry kind, on a system
+        # with every operation kind and on a storm cell whose run
+        # crashes an S-process.
+        systems = (
+            (lambda: synthetic_system((None, 2, None, 7, 40, 1)), 300),
+            (lambda: storm_system(1, 12, (4, None, 30)), 4_000),
+        )
+        for spec in REGISTRY_SPECS:
+            for build, max_steps in systems:
+                for trace in (False, True):
+                    fused = Executor(
+                        build(),
+                        build_scheduler(spec),
+                        max_steps=max_steps,
+                        trace=trace,
+                    ).run()
+                    exploring = ExploringExecutor(build(), trace=trace)
+                    # result("budget") names the budget it ran to.
+                    exploring.max_steps = max_steps
+                    stepped = drive_stepwise(exploring, build_scheduler(spec))
+                    assert canonical_result(fused) == canonical_result(
+                        stepped
+                    ), (spec, max_steps, trace)
+
+    def test_exploring_executor_is_never_run(self):
+        executor = ExploringExecutor(synthetic_system((None, 2, None)))
+        with pytest.raises(ProtocolError, match=r"step\(\)"):
+            executor.run()
 
     def test_reasons_are_covered(self):
         # The comparisons above are only as strong as the stop reasons
@@ -414,11 +435,15 @@ class TestRunEqualsStepping:
                 ).run()
                 fused_seen = list(seen)
                 seen.clear()
+                scheduler = build_scheduler(spec)
                 stepped = drive_stepwise(
-                    storm_system(1, 12, (None, 1, 1)),
-                    build_scheduler(spec),
-                    max_steps=20_000,
-                    trace=trace,
+                    Executor(
+                        storm_system(1, 12, (None, 1, 1)),
+                        scheduler,
+                        max_steps=20_000,
+                        trace=trace,
+                    ),
+                    scheduler,
                     stop_when=stop,
                 )
                 assert fused.reason == stepped.reason == "predicate"
