@@ -597,8 +597,8 @@ def footprint_crosscheck(
     units, _findings = build_units()
     footprints: dict[tuple[str, str], Any] = {}
     for unit in units:
-        for name, air in unit.irs.items():
-            footprints[(unit.module.__name__, name.split(".")[0])] = (
+        for air in unit.automata:
+            footprints[(unit.module.__name__, air.name.split(".")[0])] = (
                 air.footprint
             )
 

@@ -10,7 +10,7 @@ reproduces.  This subpackage enforces them mechanically:
   into a statement-level control-flow graph with register def/use facts
   and a static register footprint;
 * the **pass layer** (:mod:`.passes`) hosts declarative analyses over
-  that IR in a pluggable registry: the five original AST protocol rules,
+  that IR in a pluggable registry: the five step-model rules,
   semantic obligations (reachability-of-decide, single-writer /
   write-once ownership, query-before-use of detector advice), and —
   under ``--strict`` — the differential footprint audit that checks the
@@ -44,28 +44,26 @@ from .passes import (
     register_pass,
     resolve_passes,
 )
-from .protocol import AutomatonView, extract_automata
-from .runner import (
-    DYNAMIC_RULE_IDS,
-    SEMANTIC_RULE_IDS,
-    STATIC_RULE_IDS,
-    build_units,
-    lint_algorithms,
-)
-from .static_rules import (
-    ALL_RULES,
+from .passes.protocol_rules import (
     BoundedLoops,
     CNoQuery,
     DecideOnce,
     NoCASInFaithful,
     RegisterNaming,
 )
+from .runner import (
+    DYNAMIC_RULE_IDS,
+    SEMANTIC_RULE_IDS,
+    STATIC_RULE_IDS,
+    build_units,
+    extract_automata,
+    lint_algorithms,
+)
 from .trace_rules import TraceAnalyzer, analyze_trace
 
 __all__ = [
     "Finding",
     "LintReport",
-    "AutomatonView",
     "extract_automata",
     "lint_algorithms",
     "build_units",
@@ -74,7 +72,6 @@ __all__ = [
     "DYNAMIC_RULE_IDS",
     "ModuleSchema",
     "RegisterSchema",
-    "ALL_RULES",
     "CNoQuery",
     "DecideOnce",
     "NoCASInFaithful",

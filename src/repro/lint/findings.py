@@ -1,7 +1,7 @@
 """Structured lint findings.
 
-Every lint layer — the AST protocol rules, the semantic CFG passes,
-and the dynamic battery passes — reports :class:`Finding` records: one
+Every lint layer — the step-model rules and semantic passes over the
+CFG, and the dynamic battery passes — reports :class:`Finding` records: one
 rule violation (or hazard) each, carrying enough location information
 to act on.  Static passes fill ``file``/``line`` with source
 coordinates; dynamic passes report the analyzed trace or battery run

@@ -19,22 +19,22 @@ The graph is conservative in the usual directions:
 * ``match`` and other statements the builder does not model
   structurally fall through as straight-line nodes.
 
-Yield classification reuses :mod:`repro.lint.protocol`, so the IR and
-the flat extraction can never disagree about what an op is.
+Yields are classified by :func:`repro.lint.protocol.classify_yield`.
+``yield name`` resolves when the generator's own scope binds ``name``
+exactly once, by ``name = ops.X(...)``, and ``name`` is not a
+parameter; any other ``yield name`` stays dynamic.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ...runtime import ops
-from ..protocol import (
-    ResolvedRegister,
-    classify_yield,
-    statement_own_yields,
-)
+from ..protocol import ResolvedRegister, classify_yield, own_scope_nodes
 
 __all__ = ["YieldStep", "CFGNode", "CFG", "build_cfg"]
 
@@ -101,6 +101,11 @@ class CFG:
             if node.kind == "stmt":
                 yield node
 
+    def yields(self) -> Iterator[YieldStep]:
+        """Every classified yield of the automaton, in node order."""
+        for node in self.stmt_nodes():
+            yield from node.yields
+
     def add_edge(self, src: int, dst: int) -> None:
         if dst not in self.nodes[src].succs:
             self.nodes[src].succs.append(dst)
@@ -113,6 +118,10 @@ def _is_const_true(test: ast.expr) -> bool:
 
 _SCOPE_BARRIERS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 _BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers")
+if sys.version_info >= (3, 11):
+    _TRY_STATEMENTS = (ast.Try, ast.TryStar)
+else:  # pragma: no cover - Python 3.10
+    _TRY_STATEMENTS = (ast.Try,)
 
 
 def _header_nodes(stmt: ast.stmt) -> Iterator[ast.AST]:
@@ -143,9 +152,42 @@ def _header_nodes(stmt: ast.stmt) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _op_locals(
+    func: ast.FunctionDef, namespace: dict[str, Any]
+) -> dict[str, ast.Call]:
+    """Locals the generator's own scope binds exactly once, by
+    ``name = ops.X(...)``, mapped to that call.  Parameters, ``global``
+    names and names bound more than once or any other way are left out."""
+    bindings: Counter[str] = Counter()
+    calls: dict[str, ast.Call] = {}
+    for node in own_scope_nodes(func):
+        if isinstance(node, ast.arg):
+            bindings[node.arg] += 1
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bindings[node.id] += 1
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            bindings.update(node.names)
+        for attr in ("name", "asname", "rest"):  # defs, except, import, match
+            if isinstance(getattr(node, attr, None), str):
+                bindings[getattr(node, attr).split(".")[0]] += 1
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            calls.update(
+                (target.id, node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            )
+    return {
+        name: call
+        for name, call in calls.items()
+        if bindings[name] == 1
+        and classify_yield(call, namespace)[0] is not None
+    }
+
+
 class _Builder:
     def __init__(self, namespace: dict[str, Any]) -> None:
         self.namespace = namespace
+        self.op_locals: dict[str, ast.Call] = {}
         self.nodes: list[CFGNode] = []
         self.cfg: CFG | None = None
         #: per enclosing loop: (header index, break-node indices)
@@ -153,6 +195,7 @@ class _Builder:
 
     def build(self, func: ast.FunctionDef, name: str) -> CFG:
         line = getattr(func, "lineno", 1)
+        self.op_locals = _op_locals(func, self.namespace)
         self.cfg = CFG(name=name, nodes=self.nodes)
         self.nodes.append(CFGNode(index=0, kind="entry", line=line))
         self.nodes.append(CFGNode(index=1, kind="exit", line=line))
@@ -163,36 +206,38 @@ class _Builder:
 
     # -- node construction --------------------------------------------
 
+    def _classify(
+        self, expr: ast.Yield
+    ) -> tuple[type | None, ResolvedRegister | None, ast.expr | None]:
+        value = expr.value
+        if isinstance(value, ast.Name):
+            value = self.op_locals.get(value.id, value)
+        return classify_yield(value, self.namespace)
+
     def _stmt_node(self, stmt: ast.stmt) -> CFGNode:
         yields: list[YieldStep] = []
-        for expr in statement_own_yields(stmt):
-            if isinstance(expr, ast.YieldFrom):
-                yields.append(
-                    YieldStep(expr.lineno, True, None, None, None)
-                )
-            else:
-                op, register, operand = classify_yield(
-                    expr, self.namespace
-                )
-                yields.append(
-                    YieldStep(expr.lineno, False, op, register, operand)
-                )
         defs: set[str] = set()
         uses: set[str] = set()
-        for node in _header_nodes(stmt):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Store):
-                    defs.add(node.id)
-                elif isinstance(node.ctx, ast.Load):
-                    uses.add(node.id)
+        for part in _header_nodes(stmt):
+            if isinstance(part, ast.YieldFrom):
+                yields.append(
+                    YieldStep(part.lineno, True, None, None, None)
+                )
+            elif isinstance(part, ast.Yield):
+                op, register, operand = self._classify(part)
+                yields.append(
+                    YieldStep(part.lineno, False, op, register, operand)
+                )
+            elif isinstance(part, ast.Name):
+                if isinstance(part.ctx, ast.Store):
+                    defs.add(part.id)
+                elif isinstance(part.ctx, ast.Load):
+                    uses.add(part.id)
         advice: set[str] = set()
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and isinstance(
-            getattr(stmt, "value", None), ast.Yield
+            stmt.value, ast.Yield
         ):
-            value = stmt.value
-            assert value is not None
-            op, _, _ = classify_yield(value, self.namespace)
-            if op is ops.QueryFD:
+            if self._classify(stmt.value)[0] is ops.QueryFD:
                 targets = (
                     stmt.targets
                     if isinstance(stmt, ast.Assign)
@@ -272,7 +317,7 @@ class _Builder:
             self.cfg.add_edge(node.index, self.cfg.exit)
             return []
 
-        if isinstance(stmt, ast.Try):
+        if isinstance(stmt, _TRY_STATEMENTS):
             mark = len(self.nodes)
             body_out = self._block(stmt.body, [node.index])
             body_nodes = list(range(mark, len(self.nodes)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...runtime import ops
-from ..protocol import AutomatonView
+from .cfg import CFG
 
 __all__ = ["StaticFootprint", "infer_footprint"]
 
@@ -82,8 +82,8 @@ class StaticFootprint:
         }
 
 
-def infer_footprint(view: AutomatonView) -> StaticFootprint:
-    """Aggregate the static footprint of one extracted automaton."""
+def infer_footprint(cfg: CFG) -> StaticFootprint:
+    """Aggregate the static footprint of one automaton's CFG."""
     reads: set[str] = set()
     read_prefixes: set[str] = set()
     writes: set[str] = set()
@@ -92,7 +92,7 @@ def infer_footprint(view: AutomatonView) -> StaticFootprint:
     decides = False
     unresolved = 0
     delegated = 0
-    for y in view.yields:
+    for y in cfg.yields():
         if y.is_from:
             delegated += 1
             continue

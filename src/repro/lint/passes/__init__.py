@@ -1,9 +1,9 @@
 """Declarative lint passes over the automaton IR.
 
 Importing this package registers the built-in passes in their default
-execution order: the five legacy AST protocol rules first (stable
-report ordering for existing consumers), then the semantic CFG passes,
-then the strict-mode battery passes.  Third parties add their own with
+execution order: the five step-model rules first (stable report
+ordering for existing consumers), then the semantic CFG passes, then
+the strict-mode battery passes.  Third parties add their own with
 :func:`~repro.lint.passes.registry.register_pass`.
 """
 
@@ -24,7 +24,7 @@ from .registry import (
 )
 
 # Import order is registration order is default execution order.
-from . import protocol_rules  # noqa: E402,F401  (legacy AST rules)
+from . import protocol_rules  # noqa: E402,F401
 from . import reachability  # noqa: E402,F401
 from . import ownership  # noqa: E402,F401
 from . import query_discipline  # noqa: E402,F401

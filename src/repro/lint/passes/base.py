@@ -13,7 +13,7 @@ as a *fact* keyed by a declared fact id.
 Evidence kinds:
 
 ``"ast"``
-    The parsed modules with their extracted automata and IR.  Always
+    The algorithm modules with every declared automaton's IR.  Always
     available.
 ``"battery"``
     Traced reference runs of the bundled algorithms inside their
@@ -33,7 +33,6 @@ from ...algorithms._schema import ModuleSchema
 from ..findings import Finding
 from ..ir.cfg import CFG
 from ..ir.footprint import StaticFootprint
-from ..protocol import AutomatonView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..battery import BatteryRun
@@ -51,9 +50,15 @@ __all__ = [
 class AutomatonIR:
     """IR bundle for one declared automaton."""
 
-    view: AutomatonView
+    name: str  #: schema name (possibly dotted)
+    kind: str  #: "C", "S", or "-" (kind-neutral subroutine)
+    node: ast.FunctionDef  #: the generator's def
     cfg: CFG
     footprint: StaticFootprint
+
+    @property
+    def line(self) -> int:
+        return self.node.lineno
 
 
 @dataclass
@@ -64,9 +69,7 @@ class ModuleUnit:
     module: ModuleType
     schema: ModuleSchema
     file: str
-    tree: ast.Module
-    views: list[AutomatonView]
-    irs: dict[str, AutomatonIR]  #: keyed by the view's dotted name
+    automata: list[AutomatonIR]
 
 
 @dataclass
@@ -80,11 +83,7 @@ class PassContext:
     facts: dict[str, Any] = field(default_factory=dict)
 
     def automata(self) -> list[tuple[ModuleUnit, AutomatonIR]]:
-        return [
-            (unit, unit.irs[view.name])
-            for unit in self.units
-            for view in unit.views
-        ]
+        return [(unit, ir) for unit in self.units for ir in unit.automata]
 
 
 @dataclass

@@ -53,7 +53,7 @@ class StaticFootprints(LintPass):
     def run(self, ctx: PassContext) -> PassResult:
         result = PassResult()
         result.facts[STATIC_FOOTPRINTS_FACT] = {
-            f"{unit.name}.{ir.view.name}": ir.footprint.as_fact()
+            f"{unit.name}.{ir.name}": ir.footprint.as_fact()
             for unit, ir in ctx.automata()
         }
         return result
@@ -207,7 +207,8 @@ class FootprintAudit(LintPass):
             return  # null automaton or out-of-scope pid
         module_name, automaton = located
         unit = units.get(module_name)
-        ir = unit.irs.get(automaton) if unit is not None else None
+        automata = unit.automata if unit is not None else []
+        ir = next((ir for ir in automata if ir.name == automaton), None)
         if ir is None:
             result.findings.append(
                 self.finding(

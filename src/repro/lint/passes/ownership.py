@@ -134,9 +134,9 @@ class SingleWriter(LintPass):
                     self.finding(
                         file=unit.file,
                         line=y.line,
-                        kind=ir.view.kind,
+                        kind=ir.kind,
                         message=(
-                            f"{ir.view.name}: write to {shown!r} in "
+                            f"{ir.name}: write to {shown!r} in "
                             f"single-writer family {family!r} does not "
                             "interpolate the process's own index "
                             "(`ctx.pid.index`); another process's "
@@ -180,9 +180,9 @@ class WriteOnce(LintPass):
                     self.finding(
                         file=file,
                         line=y.line,
-                        kind=ir.view.kind,
+                        kind=ir.kind,
                         message=(
-                            f"{ir.view.name}: write to write-once "
+                            f"{ir.name}: write to write-once "
                             f"family {family!r} sits in a cycle and "
                             "may execute more than once"
                         ),
@@ -204,9 +204,9 @@ class WriteOnce(LintPass):
                             self.finding(
                                 file=file,
                                 line=other_y.line,
-                                kind=ir.view.kind,
+                                kind=ir.kind,
                                 message=(
-                                    f"{ir.view.name}: second write to "
+                                    f"{ir.name}: second write to "
                                     f"write-once family {family!r} on "
                                     "the same path (first write at "
                                     f"line {y.line})"

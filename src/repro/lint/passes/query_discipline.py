@@ -81,9 +81,9 @@ class QueryBeforeUse(LintPass):
                         self.finding(
                             file=unit.file,
                             line=node.line,
-                            kind=ir.view.kind,
+                            kind=ir.kind,
                             message=(
-                                f"{ir.view.name}: advice variable "
+                                f"{ir.name}: advice variable "
                                 f"{name!r} is read here but not "
                                 "assigned from a detector query on "
                                 "every incoming path"
@@ -138,9 +138,9 @@ class StaleAdvice(LintPass):
                     self.finding(
                         file=unit.file,
                         line=line,
-                        kind=ir.view.kind,
+                        kind=ir.kind,
                         message=(
-                            f"{ir.view.name}: cycle acts on "
+                            f"{ir.name}: cycle acts on "
                             "advice-derived data without re-querying "
                             "the detector inside the cycle; unreliable "
                             "advice may have changed"

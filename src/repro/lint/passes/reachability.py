@@ -77,9 +77,9 @@ class ReachDecide(LintPass):
     def run(self, ctx: PassContext) -> PassResult:
         result = PassResult()
         for unit, ir in ctx.automata():
-            if ir.view.kind != "C":
+            if ir.kind != "C":
                 continue
-            non_deciding = ir.view.name in unit.schema.non_deciding
+            non_deciding = ir.name in unit.schema.non_deciding
             if not non_deciding:
                 self._check_traps(unit.file, ir, result)
                 self._check_terminating_paths(unit.file, ir, result)
@@ -112,7 +112,7 @@ class ReachDecide(LintPass):
                     line=node.line,
                     kind="C",
                     message=(
-                        f"{ir.view.name}: reachable yielding code from "
+                        f"{ir.name}: reachable yielding code from "
                         "which no Decide or termination is reachable — "
                         "the process can enter this region and never "
                         "fulfil its decide obligation"
@@ -133,10 +133,10 @@ class ReachDecide(LintPass):
             result.findings.append(
                 self.finding(
                     file=file,
-                    line=ir.view.line,
+                    line=ir.line,
                     kind="C",
                     message=(
-                        f"{ir.view.name}: some execution path returns "
+                        f"{ir.name}: some execution path returns "
                         "without yielding Decide — the process would "
                         "halt undecided"
                     ),
@@ -178,7 +178,7 @@ class ReachDecide(LintPass):
                     line=line,
                     kind="C",
                     message=(
-                        f"{ir.view.name}: cycle yields steps but never "
+                        f"{ir.name}: cycle yields steps but never "
                         "observes shared state or advice; it cannot "
                         "terminate in response to other processes' "
                         "progress (wait-freedom violation)"

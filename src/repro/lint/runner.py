@@ -24,6 +24,7 @@ import ast
 import importlib
 from pathlib import Path
 from types import ModuleType
+from typing import Any
 
 from ..algorithms._schema import ModuleSchema
 from .findings import Finding, LintReport
@@ -34,11 +35,16 @@ from .passes import (
     PassContext,
     resolve_passes,
 )
-from .protocol import extract_automata
-from .static_rules import ALL_RULES
+from .protocol import automaton_generator
 
-#: Rule ids of the original five AST protocol rules, in order.
-STATIC_RULE_IDS = tuple(rule.rule_id for rule in ALL_RULES)
+#: Rule ids of the five step-model rules, in order.
+STATIC_RULE_IDS = (
+    "CNoQuery",
+    "DecideOnce",
+    "NoCASInFaithful",
+    "BoundedLoops",
+    "RegisterNaming",
+)
 #: Rule ids of the semantic CFG passes (always-on, AST evidence).
 SEMANTIC_RULE_IDS = (
     "ReachDecide",
@@ -52,37 +58,43 @@ SEMANTIC_RULE_IDS = (
 DYNAMIC_RULE_IDS = ("FootprintAudit", "LostUpdate", "SnapshotRace")
 
 
+def extract_automata(
+    tree: ast.Module,
+    schema: ModuleSchema,
+    namespace: dict[str, Any],
+    *,
+    module_name: str,
+) -> list[AutomatonIR]:
+    """Compile every automaton ``schema`` declares into its CFG IR and
+    static footprint, resolving names through ``namespace``.  Schema
+    drift raises :class:`~repro.errors.SpecificationError`."""
+    automata = []
+    for dotted in schema.checked_functions:
+        generator = automaton_generator(tree, dotted, module_name=module_name)
+        cfg = build_cfg(generator, namespace, name=dotted)
+        automata.append(
+            AutomatonIR(
+                name=dotted,
+                kind=schema.kind_of(dotted),
+                node=generator,
+                cfg=cfg,
+                footprint=infer_footprint(cfg),
+            )
+        )
+    return automata
+
+
 def _build_unit(
     name: str, module: ModuleType, schema: ModuleSchema
 ) -> ModuleUnit:
     file = getattr(module, "__file__", None) or "<module>"
-    source = Path(file).read_text()
-    tree = ast.parse(source)
-    namespace = dict(vars(module))
-    views = extract_automata(
-        tree,
+    automata = extract_automata(
+        ast.parse(Path(file).read_text()),
         schema,
-        namespace=namespace,
-        file=file,
+        dict(vars(module)),
         module_name=module.__name__,
     )
-    irs = {
-        view.name: AutomatonIR(
-            view=view,
-            cfg=build_cfg(view.node, namespace, name=view.name),
-            footprint=infer_footprint(view),
-        )
-        for view in views
-    }
-    return ModuleUnit(
-        name=name,
-        module=module,
-        schema=schema,
-        file=file,
-        tree=tree,
-        views=views,
-        irs=irs,
-    )
+    return ModuleUnit(name, module, schema, file, automata)
 
 
 def build_units() -> tuple[list[ModuleUnit], list[Finding]]:

@@ -201,11 +201,19 @@ def connect_framed(
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
-    """Parse ``HOST:PORT`` (the CLI's ``--connect`` / ``--listen``)."""
+    """Parse ``HOST:PORT`` (the CLI's ``--connect`` / ``--listen``).
+
+    A port outside 0-65535 is a ``ValueError`` here: ``bind`` would
+    raise ``OverflowError`` on it, and ``getaddrinfo`` would wrap it
+    to another port.
+    """
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port must be in 0-65535, got {text!r}")
+    return host, number
 
 
 def iter_messages(frames: Iterable[bytes]) -> list[dict[str, Any]]:

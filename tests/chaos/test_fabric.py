@@ -512,8 +512,14 @@ class TestExitCodeContract:
             probe.close()
 
     def test_worker_rejects_malformed_endpoint(self, capsys):
-        assert main(["worker", "--connect", "nonsense"]) == 2
-        assert "HOST:PORT" in capsys.readouterr().err
+        for endpoint, message in [
+            ("nonsense", "HOST:PORT"),
+            ("127.0.0.1:99999", "port must be in 0-65535"),
+            ("127.0.0.1:-1", "port must be in 0-65535"),
+        ]:
+            argv = ["worker", "--connect", endpoint, "--max-attempts", "1"]
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):

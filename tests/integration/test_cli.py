@@ -84,9 +84,13 @@ class TestChaosCLI:
 
     def test_malformed_listen_is_a_usage_error(self, capsys):
         argv = ["chaos", "run", "--smoke", "--backend", "fabric"]
-        assert main(argv + ["--listen", "nonsense"]) == 2
-        err = capsys.readouterr().err
-        assert err == "chaos run: expected HOST:PORT, got 'nonsense'\n"
+        for listen, message in [
+            ("nonsense", "expected HOST:PORT, got 'nonsense'"),
+            ("127.0.0.1:99999", "port must be in 0-65535, got '127.0.0.1:99999'"),
+            ("127.0.0.1:-1", "port must be in 0-65535, got '127.0.0.1:-1'"),
+        ]:
+            assert main(argv + ["--listen", listen]) == 2
+            assert capsys.readouterr().err == f"chaos run: {message}\n"
 
     def test_unbindable_listen_is_a_usage_error(self, capsys):
         # A documentation address (RFC 5737) no local interface holds.

@@ -9,8 +9,7 @@ from types import SimpleNamespace
 from repro.checker import independence
 from repro.core.process import c_process
 from repro.lint import ModuleSchema, extract_automata, lint_algorithms
-from repro.lint.ir import build_cfg, infer_footprint
-from repro.lint.passes.base import AutomatonIR, ModuleUnit, PassContext
+from repro.lint.passes.base import ModuleUnit, PassContext
 from repro.lint.passes.footprints import FootprintAudit
 from repro.runtime import ops
 from repro.runtime.trace import Trace, TraceEvent
@@ -28,30 +27,14 @@ def demo_unit():
         """
     )
     schema = ModuleSchema(c_automata=("auto",))
-    tree = ast.parse(source)
-    views = extract_automata(
-        tree,
-        schema,
-        namespace=NAMESPACE,
-        file="<demo>",
-        module_name="demo",
-    )
-    irs = {
-        view.name: AutomatonIR(
-            view=view,
-            cfg=build_cfg(view.node, NAMESPACE, name=view.name),
-            footprint=infer_footprint(view),
-        )
-        for view in views
-    }
     return ModuleUnit(
         name="demo",
         module=None,
         schema=schema,
         file="<demo>",
-        tree=tree,
-        views=views,
-        irs=irs,
+        automata=extract_automata(
+            ast.parse(source), schema, NAMESPACE, module_name="demo"
+        ),
     )
 
 

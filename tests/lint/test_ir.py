@@ -2,11 +2,13 @@
 footprint inference over synthetic automata."""
 
 import ast
+import sys
 import textwrap
+
+import pytest
 
 from repro.lint import ModuleSchema, extract_automata
 from repro.lint.ir import (
-    build_cfg,
     forward_must,
     infer_footprint,
     nontrivial_sccs,
@@ -18,21 +20,11 @@ from repro.runtime import ops
 NAMESPACE = {"ops": ops, "PREFIX": "fam/"}
 
 
-def view_of(source, schema=None):
+def cfg_of(source, schema=None):
     schema = schema or ModuleSchema(c_automata=("auto",))
     tree = ast.parse(textwrap.dedent(source))
-    return extract_automata(
-        tree,
-        schema,
-        namespace=NAMESPACE,
-        file="<test>",
-        module_name="<test>",
-    )[0]
-
-
-def cfg_of(source, **kwargs):
-    view = view_of(source, **kwargs)
-    return build_cfg(view.node, NAMESPACE, name=view.name)
+    (ir,) = extract_automata(tree, schema, NAMESPACE, module_name="<test>")
+    return ir.cfg
 
 
 def node_with_line(cfg, line):
@@ -195,6 +187,24 @@ class TestCFGConstruction:
         # Both body statements may raise into the handler.
         assert len(handler_assign.preds) >= 2
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="except* needs Python 3.11"
+    )
+    def test_try_star_blocks_get_nodes(self):
+        cfg = cfg_of(
+            """
+            def auto(ctx):
+                try:
+                    x = yield ops.Read("fam/a")
+                except* KeyError:
+                    x = yield ops.Read("fam/b")
+                yield ops.Decide(x)
+            """
+        )
+        reads = [y.register.text for y in cfg.yields() if y.op is ops.Read]
+        assert reads == ["fam/a", "fam/b"]
+        assert node_with_line(cfg, 4).index in node_with_line(cfg, 6).preds
+
     def test_defs_uses_and_advice(self):
         cfg = cfg_of(
             """
@@ -223,6 +233,52 @@ class TestCFGConstruction:
         dyn = next(n for n in cfg.stmt_nodes() if n.yields)
         assert dyn.yields[0].dynamic
         assert not dyn.yields[0].is_from
+
+    def test_op_bound_once_to_a_local_is_classified(self):
+        cfg = cfg_of(
+            """
+            def auto(ctx):
+                query = ops.QueryFD()
+                poll = ops.Read("fam/a")
+                advice = yield query
+                x = yield poll
+                yield ops.Decide(x)
+            """,
+            schema=ModuleSchema(s_automata=("auto",)),
+        )
+        ask = node_with_line(cfg, 5)
+        assert ask.yields[0].op is ops.QueryFD
+        assert ask.advice_defs == frozenset({"advice"})
+        (read,) = node_with_line(cfg, 6).yields
+        assert read.op is ops.Read
+        assert read.register.text == "fam/a"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            """
+            def auto(ctx):
+                poll = ops.Read("fam/a")
+                poll = ops.Nop()
+                yield poll
+            """,
+            """
+            def auto(ctx, poll):
+                poll = ops.Read("fam/a")
+                yield poll
+            """,
+            """
+            def auto(ctx):
+                global poll
+                poll = ops.Read("fam/a")
+                yield poll
+            """,
+        ],
+        ids=["bound-twice", "parameter", "global"],
+    )
+    def test_other_locals_stay_dynamic(self, source):
+        (step,) = cfg_of(source).yields()
+        assert step.dynamic
 
     def test_yield_from_classification(self):
         cfg = cfg_of(
@@ -307,7 +363,7 @@ class TestFixpoints:
 
 class TestFootprintInference:
     def test_closed_footprint(self):
-        view = view_of(
+        cfg = cfg_of(
             """
             def auto(ctx):
                 x = yield ops.Read("fam/a")
@@ -316,7 +372,7 @@ class TestFootprintInference:
                 yield ops.Decide(x)
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(cfg)
         assert fp.closed
         assert fp.reads == frozenset({"fam/a"})
         assert fp.read_prefixes == frozenset({"fam/"})
@@ -331,7 +387,7 @@ class TestFootprintInference:
     def test_prefix_resolved_register_is_open_coverage(self):
         # f-strings with a dynamic tail resolve to a prefix, which
         # still covers any register under the family.
-        view = view_of(
+        cfg = cfg_of(
             """
             def auto(ctx):
                 me = ctx.pid.index
@@ -339,49 +395,49 @@ class TestFootprintInference:
                 yield ops.Decide(1)
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(cfg)
         assert fp.closed
         assert fp.write_prefixes == frozenset({"fam/"})
         assert fp.covers_write("fam/7")
 
     def test_cas_lands_in_reads_and_writes(self):
-        view = view_of(
+        cfg = cfg_of(
             """
             def auto(ctx):
                 held = yield ops.CompareAndSwap("fam/lock", None, 1)
                 yield ops.Decide(held)
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(cfg)
         assert "fam/lock" in fp.reads
         assert "fam/lock" in fp.writes
 
     def test_yield_from_opens_the_footprint(self):
-        view = view_of(
+        cfg = cfg_of(
             """
             def auto(ctx):
                 yield from helper(ctx)
                 yield ops.Decide(1)
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(cfg)
         assert fp.delegated == 1
         assert not fp.closed
 
     def test_dynamic_yield_opens_the_footprint(self):
-        view = view_of(
+        cfg = cfg_of(
             """
             def auto(ctx):
                 op = pick()
                 yield op
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(cfg)
         assert fp.unresolved == 1
         assert not fp.closed
 
     def test_query_sets_flag(self):
-        view = view_of(
+        cfg = cfg_of(
             """
             def auto(ctx):
                 advice = yield ops.QueryFD()
@@ -389,18 +445,32 @@ class TestFootprintInference:
             """,
             schema=ModuleSchema(s_automata=("auto",)),
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(cfg)
         assert fp.queries
 
+    def test_query_through_a_local_is_closed(self):
+        cfg = cfg_of(
+            """
+            def auto(ctx):
+                query = ops.QueryFD()
+                advice = yield query
+                yield ops.Decide(advice)
+            """,
+            schema=ModuleSchema(s_automata=("auto",)),
+        )
+        fact = infer_footprint(cfg).as_fact()
+        assert fact["queries"] is True
+        assert fact["closed"] is True
+
     def test_as_fact_is_json_ready(self):
-        view = view_of(
+        cfg = cfg_of(
             """
             def auto(ctx):
                 x = yield ops.Read("fam/a")
                 yield ops.Decide(x)
             """
         )
-        fact = infer_footprint(view).as_fact()
+        fact = infer_footprint(cfg).as_fact()
         assert fact["reads"] == ["fam/a"]
         assert fact["closed"] is True
         assert fact["decides"] is True

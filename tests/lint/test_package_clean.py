@@ -1,8 +1,8 @@
 """The shipped algorithms must pass their own analyzer.
 
 This is the acceptance gate: every module of :mod:`repro.algorithms`
-has a complete lint schema, the full pass pipeline (legacy AST rules +
-semantic CFG passes) reports zero violations over the real codebase,
+has a complete lint schema, the full pass pipeline (the five step-model
+rules + semantic CFG passes) reports zero violations over the real codebase,
 and — under ``--strict`` — the traced battery is race-free and the
 differential footprint audit holds on every bundled workload.
 """

@@ -6,8 +6,7 @@ import ast
 import textwrap
 
 from repro.lint import ModuleSchema, RegisterSchema, extract_automata
-from repro.lint.ir import build_cfg, infer_footprint
-from repro.lint.passes.base import AutomatonIR, ModuleUnit, PassContext
+from repro.lint.passes.base import ModuleUnit, PassContext
 from repro.lint.passes.ownership import SingleWriter, WriteOnce
 from repro.lint.passes.query_discipline import QueryBeforeUse, StaleAdvice
 from repro.lint.passes.reachability import ReachDecide
@@ -18,29 +17,14 @@ NAMESPACE = {"ops": ops, "PREFIX": "fam/"}
 
 def unit_of(source, schema):
     tree = ast.parse(textwrap.dedent(source))
-    views = extract_automata(
-        tree,
-        schema,
-        namespace=NAMESPACE,
-        file="<test>",
-        module_name="<test>",
-    )
-    irs = {
-        view.name: AutomatonIR(
-            view=view,
-            cfg=build_cfg(view.node, NAMESPACE, name=view.name),
-            footprint=infer_footprint(view),
-        )
-        for view in views
-    }
     return ModuleUnit(
         name="<test>",
         module=None,
         schema=schema,
         file="<test>",
-        tree=tree,
-        views=views,
-        irs=irs,
+        automata=extract_automata(
+            tree, schema, NAMESPACE, module_name="<test>"
+        ),
     )
 
 

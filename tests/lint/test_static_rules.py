@@ -17,27 +17,26 @@ from repro.lint import (
     RegisterSchema,
     extract_automata,
 )
+from repro.lint.passes import ModuleUnit, PassContext
 from repro.runtime import ops
 
 NAMESPACE = {"ops": ops, "PREFIX": "fam/"}
 
 
-def views_of(source, schema):
+def automata_of(source, schema):
     tree = ast.parse(textwrap.dedent(source))
-    return extract_automata(
-        tree,
-        schema,
-        namespace=NAMESPACE,
-        file="<test>",
-        module_name="<test>",
-    )
+    return extract_automata(tree, schema, NAMESPACE, module_name="<test>")
 
 
 def run_rule(rule_class, source, schema):
-    findings = []
-    for view in views_of(source, schema):
-        findings.extend(rule_class().check(view, schema))
-    return findings
+    unit = ModuleUnit(
+        name="<test>",
+        module=None,
+        schema=schema,
+        file="<test>",
+        automata=automata_of(source, schema),
+    )
+    return rule_class().run(PassContext(units=[unit])).findings
 
 
 class TestCNoQuery:
@@ -293,11 +292,81 @@ class TestRegisterNaming:
         assert run_rule(RegisterNaming, source, schema) == []
 
 
+class TestDecideOnceOnTheCFG:
+    """Tail position read off the CFG: every successor of the Decide's
+    node is the exit or a ``return``.  Each case here was judged the
+    other way by the flat statement walk the rule used to run on."""
+
+    @pytest.mark.parametrize("loop", ["while True:", "for _ in range(3):"])
+    def test_fires_on_decide_ending_a_loop_body(self, loop):
+        source = f"""\
+        def looper(ctx):
+            {loop}
+                value = yield ops.Read("fam/x")
+                yield ops.Decide(value)
+        """
+        schema = ModuleSchema(c_automata=("looper",))
+        findings = run_rule(DecideOnce, source, schema)
+        assert [f.line for f in findings] == [4]
+        assert "tail position" in findings[0].message
+
+    def test_quiet_on_decide_then_return_inside_a_loop(self):
+        source = """\
+        def poller(ctx):
+            while True:
+                value = yield ops.Read("fam/x")
+                if value:
+                    yield ops.Decide(value)
+                return
+        """
+        schema = ModuleSchema(c_automata=("poller",))
+        assert run_rule(DecideOnce, source, schema) == []
+
+    @pytest.mark.parametrize("clause", ["except ValueError:", "finally:"])
+    def test_fires_on_decide_in_a_guarded_try_body(self, clause):
+        source = f"""\
+        def guarded(ctx):
+            try:
+                yield ops.Decide(1)
+            {clause}
+                pass
+        """
+        schema = ModuleSchema(c_automata=("guarded",))
+        findings = run_rule(DecideOnce, source, schema)
+        assert [f.line for f in findings] == [3]
+
+    def test_quiet_on_unreachable_code_after_return(self):
+        source = """\
+        def fine(ctx):
+            yield ops.Decide(1)
+            return
+            yield ops.Nop()
+        """
+        schema = ModuleSchema(c_automata=("fine",))
+        assert run_rule(DecideOnce, source, schema) == []
+
+
+class TestOpsBoundToLocals:
+    def test_query_through_a_local_fires_cnoquery(self):
+        source = """\
+        def hoisted(ctx):
+            query = ops.QueryFD()
+            while True:
+                advice = yield query
+                if advice:
+                    yield ops.Decide(advice)
+                    return
+        """
+        schema = ModuleSchema(c_automata=("hoisted",))
+        findings = run_rule(CNoQuery, source, schema)
+        assert [(f.rule, f.line) for f in findings] == [("CNoQuery", 4)]
+
+
 class TestExtraction:
     def test_schema_drift_is_an_error(self):
         schema = ModuleSchema(c_automata=("missing",))
         with pytest.raises(SpecificationError):
-            views_of("x = 1", schema)
+            automata_of("x = 1", schema)
 
     def test_non_generator_is_an_error(self):
         source = """\
@@ -306,7 +375,7 @@ class TestExtraction:
         """
         schema = ModuleSchema(c_automata=("not_a_generator",))
         with pytest.raises(SpecificationError):
-            views_of(source, schema)
+            automata_of(source, schema)
 
     def test_dotted_names_reach_nested_defs(self):
         source = """\
@@ -315,9 +384,9 @@ class TestExtraction:
                 yield ops.Decide(1)
         """
         schema = ModuleSchema(subroutines=("Agreement.propose",))
-        views = views_of(source, schema)
-        assert [v.name for v in views] == ["Agreement.propose"]
-        assert len(views[0].yields) == 1
+        automata = automata_of(source, schema)
+        assert [ir.name for ir in automata] == ["Agreement.propose"]
+        assert len(list(automata[0].cfg.yields())) == 1
 
     def test_nested_defs_do_not_leak_yields(self):
         source = """\
@@ -327,5 +396,5 @@ class TestExtraction:
             yield ops.Decide(1)
         """
         schema = ModuleSchema(c_automata=("outer",))
-        views = views_of(source, schema)
-        assert [y.op for y in views[0].yields] == [ops.Decide]
+        automata = automata_of(source, schema)
+        assert [y.op for y in automata[0].cfg.yields()] == [ops.Decide]
