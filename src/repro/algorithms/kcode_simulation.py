@@ -110,9 +110,18 @@ def _entry(j: int, inputs_snapshot: dict[str, Any]) -> tuple:
     return ("step", j, tuple(sorted(inputs_snapshot.items())))
 
 
-def _apply_entry(spec: F2Spec, replica: SimulatedWorld, entry: tuple) -> None:
+def _apply_entry(
+    spec: F2Spec, replica: SimulatedWorld, entry: tuple, injected: set[str]
+) -> None:
+    """Inject the entry's task inputs into ``replica``, then step the
+    entry's code.  ``injected`` names the real input registers this
+    replica has already taken: they are write-once, so each is injected
+    (and its target read) once, not once per entry that carries it."""
     _, j, input_items = entry
     for register, value in input_items:
+        if register in injected:
+            continue
+        injected.add(register)
         index = register[len(INPUT_REGISTER_PREFIX):]
         target = f"{spec.input_prefix}{index}"
         if replica.memory.read(target) is None:
@@ -131,6 +140,10 @@ def figure2_c_factory(spec: F2Spec, simulator_index: int):
     Only ``_apply_entry`` changes the replica, so its result register
     and decisions are checked once at start and then only after an
     entry is applied; a poll that applies nothing re-checks nothing.
+    Each log instance gets its own polling loop, and every poll yields
+    an operation built before that loop: each operation local is bound
+    at one site, so the linter resolves it (the compiled kernel does
+    not, and runs these automata on the interpreter).
     """
 
     def factory(ctx: ProcessContext):
@@ -143,88 +156,95 @@ def figure2_c_factory(spec: F2Spec, simulator_index: int):
         yield ops.Write(active_register, 1)
         yield ops.Write(spec.ever_register(me), 1)
         replica = spec.make_replica()
-        # What changes only per log instance, or per registration
-        # change, is derived once, not once per poll.
-        t = 0
-        decision = paxos.decision_register(spec.log_instance(t))
+        injected: set[str] = set()
+        # Polls yield prebuilt operations: the registration snapshot and
+        # the idle step are built once, the decision read once per log
+        # instance.
         active_prefix = f"{spec.name}/R/"
+        poll_active = ops.Snapshot(active_prefix)
+        idle = ops.Nop()
         cut = len(active_prefix)
         parsed = None  # the registration snapshot ``active`` was parsed from
         active: list[int] = []
-        ballot_round = 0
-        waited = 0
-        backoff = 0
         mirrored: set[int] = set()
         # Whether the replica changed since its result register and
         # decisions were last checked: only ``_apply_entry`` changes it.
         applied = True
+        t = 0
         while True:
-            if applied:
-                applied = False
-                # Depart as soon as our own result exists (Figure 2 line 28).
-                if result_register is not None:
-                    value = replica.memory.read(result_register)
-                    if value is not None:
-                        yield ops.Write(active_register, "departed")
-                        yield ops.Decide(value)
-                        return
-                # Mirror simulated decisions for observers.
-                if len(mirrored) < k:
-                    for j in range(k):
-                        if j not in mirrored and j in replica.decisions:
-                            yield ops.Write(
-                                spec.mirror_register(j), replica.decisions[j]
-                            )
-                            mirrored.add(j)
-            # Catch up on the agreed log (``paxos.read_decision``, with
-            # the decision register named once per instance).
-            cell = yield ops.Read(decision)
-            if cell is not None:
-                _apply_entry(spec, replica, cell[1])
-                applied = True
-                t += 1
-                decision = paxos.decision_register(spec.log_instance(t))
-                ballot_round = 0
-                waited = 0
-                backoff = 0
-                continue
-            # Lead while few simulators are registered.
-            active_cells = yield ops.Snapshot(active_prefix)
-            if active_cells != parsed:
-                parsed = active_cells
-                active = sorted(
-                    int(name[cut:])
-                    for name, value in active_cells.items()
-                    if value == 1
-                )
-            if len(active) <= k and me in active:
-                j = active.index(me)
-                # Defer to lower-ranked leaders first, and after an
-                # aborted proposal hold back for a stretch that grows
-                # with the round at a per-slot slope — two persistent
-                # rivals' retry cadences diverge until one proposal
-                # lands uncontested (the E-CHAOS lock-step livelock).
-                if waited < j * PATIENCE:
-                    waited += 1
-                    yield ops.Nop()
+            # One log instance: poll its decision until an entry lands
+            # (``paxos.read_decision``, with the register named once).
+            poll_decision = ops.Read(
+                paxos.decision_register(spec.log_instance(t))
+            )
+            ballot_round = 0
+            waited = 0
+            backoff = 0
+            while True:
+                if applied:
+                    applied = False
+                    # Depart as soon as our own result exists (Figure 2
+                    # line 28).
+                    if result_register is not None:
+                        value = replica.memory.read(result_register)
+                        if value is not None:
+                            yield ops.Write(active_register, "departed")
+                            yield ops.Decide(value)
+                            return
+                    # Mirror simulated decisions for observers.
+                    if len(mirrored) < k:
+                        for j in range(k):
+                            if j not in mirrored and j in replica.decisions:
+                                yield ops.Write(
+                                    spec.mirror_register(j),
+                                    replica.decisions[j],
+                                )
+                                mirrored.add(j)
+                # Catch up on the agreed log.
+                cell = yield poll_decision
+                if cell is not None:
+                    _apply_entry(spec, replica, cell[1], injected)
+                    applied = True
+                    break
+                # Lead while few simulators are registered.
+                active_cells = yield poll_active
+                if active_cells != parsed:
+                    parsed = active_cells
+                    active = sorted(
+                        int(name[cut:])
+                        for name, value in active_cells.items()
+                        if value == 1
+                    )
+                if len(active) <= k and me in active:
+                    j = active.index(me)
+                    # Defer to lower-ranked leaders first, and after an
+                    # aborted proposal hold back for a stretch that
+                    # grows with the round at a per-slot slope — two
+                    # persistent rivals' retry cadences diverge until
+                    # one proposal lands uncontested (the E-CHAOS
+                    # lock-step livelock).
+                    if waited < j * PATIENCE:
+                        waited += 1
+                        yield idle
+                        continue
+                    if backoff > 0:
+                        backoff -= 1
+                        yield idle
+                        continue
+                    inputs_snapshot = yield ops.Snapshot(INPUT_REGISTER_PREFIX)
+                    decided = yield from paxos.propose(
+                        spec.log_instance(t),
+                        me,
+                        spec.slots,
+                        paxos.make_ballot(ballot_round, me, spec.slots),
+                        _entry(j, inputs_snapshot),
+                    )
+                    if decided is None:
+                        ballot_round += 1
+                        backoff = (me + 1) * ballot_round
                     continue
-                if backoff > 0:
-                    backoff -= 1
-                    yield ops.Nop()
-                    continue
-                inputs_snapshot = yield ops.Snapshot(INPUT_REGISTER_PREFIX)
-                decided = yield from paxos.propose(
-                    spec.log_instance(t),
-                    me,
-                    spec.slots,
-                    paxos.make_ballot(ballot_round, me, spec.slots),
-                    _entry(j, inputs_snapshot),
-                )
-                if decided is None:
-                    ballot_round += 1
-                    backoff = (me + 1) * ballot_round
-                continue
-            yield ops.Nop()
+                yield idle
+            t += 1
 
     return factory
 
@@ -237,73 +257,79 @@ def figure2_s_factory(spec: F2Spec, s_index: int):
     proposes a step of that position's code at the first undecided log
     instance.  The led positions depend only on the advice vector and
     ``ell``, so they are rebuilt only when either differs from the
-    values they were last built from.
+    values they were last built from.  Polls yield prebuilt operations,
+    as in :func:`figure2_c_factory`.
     """
 
     def factory(ctx: ProcessContext):
         me = s_index
         slot = spec.n + me
         ever_prefix = f"{spec.name}/Rever/"
-        t = 0
-        decision = paxos.decision_register(spec.log_instance(t))
-        ballot_round = 0
-        waited = 0
-        backoff = 0
+        # Polls yield prebuilt operations, as in the C-simulators.
+        query = ops.QueryFD()
+        poll_ever = ops.Snapshot(ever_prefix)
+        idle = ops.Nop()
         # The advice and registered count ``positions`` was built from.
         led_vector = None
         led_ell = -1
         positions: list[int] = []
+        t = 0
         while True:
-            advice = yield ops.QueryFD()
-            vector = advice if isinstance(advice, tuple) else (advice,)
-            cell = yield ops.Read(decision)
-            if cell is not None:
-                t += 1
-                decision = paxos.decision_register(spec.log_instance(t))
-                ballot_round = 0
-                waited = 0
-                backoff = 0
-                continue
-            ever_cells = yield ops.Snapshot(ever_prefix)
-            ell = len(ever_cells)
-            if vector != led_vector or ell != led_ell:
-                led_vector = vector
-                led_ell = ell
-                limit = min(spec.k, ell)
-                positions = [
-                    j
-                    for j in range(min(spec.k, len(vector)))
-                    if vector[j] == me and j < limit
-                ]
-            if not positions:
-                yield ops.Nop()
-                continue
-            j = positions[0]
-            # Same contention damping as the C-simulators: patience
-            # proportional to the led position (two stable vector
-            # positions can pin *different* correct leaders, who would
-            # otherwise duel forever at one log instance — the E-CHAOS
-            # vecOmega-2 livelock under lock-step round-robin), plus a
-            # slot-sloped growing backoff after every aborted proposal.
-            if waited < j * PATIENCE:
-                waited += 1
-                yield ops.Nop()
-                continue
-            if backoff > 0:
-                backoff -= 1
-                yield ops.Nop()
-                continue
-            inputs_snapshot = yield ops.Snapshot(INPUT_REGISTER_PREFIX)
-            decided = yield from paxos.propose(
-                spec.log_instance(t),
-                slot,
-                spec.slots,
-                paxos.make_ballot(ballot_round, slot, spec.slots),
-                _entry(j, inputs_snapshot),
+            # One log instance: contend it until its decision lands.
+            poll_decision = ops.Read(
+                paxos.decision_register(spec.log_instance(t))
             )
-            if decided is None:
-                ballot_round += 1
-                backoff = (slot + 1) * ballot_round
+            ballot_round = 0
+            waited = 0
+            backoff = 0
+            while True:
+                advice = yield query
+                vector = advice if isinstance(advice, tuple) else (advice,)
+                cell = yield poll_decision
+                if cell is not None:
+                    break
+                ever_cells = yield poll_ever
+                ell = len(ever_cells)
+                if vector != led_vector or ell != led_ell:
+                    led_vector = vector
+                    led_ell = ell
+                    limit = min(spec.k, ell)
+                    positions = [
+                        j
+                        for j in range(min(spec.k, len(vector)))
+                        if vector[j] == me and j < limit
+                    ]
+                if not positions:
+                    yield idle
+                    continue
+                j = positions[0]
+                # Same contention damping as the C-simulators: patience
+                # proportional to the led position (two stable vector
+                # positions can pin *different* correct leaders, who
+                # would otherwise duel forever at one log instance — the
+                # E-CHAOS vecOmega-2 livelock under lock-step
+                # round-robin), plus a slot-sloped growing backoff after
+                # every aborted proposal.
+                if waited < j * PATIENCE:
+                    waited += 1
+                    yield idle
+                    continue
+                if backoff > 0:
+                    backoff -= 1
+                    yield idle
+                    continue
+                inputs_snapshot = yield ops.Snapshot(INPUT_REGISTER_PREFIX)
+                decided = yield from paxos.propose(
+                    spec.log_instance(t),
+                    slot,
+                    spec.slots,
+                    paxos.make_ballot(ballot_round, slot, spec.slots),
+                    _entry(j, inputs_snapshot),
+                )
+                if decided is None:
+                    ballot_round += 1
+                    backoff = (slot + 1) * ballot_round
+            t += 1
 
     return factory
 
@@ -319,10 +345,11 @@ def replay_log(spec: F2Spec, memory) -> SimulatedWorld:
     """Rebuild the replica state from the decided log in ``memory``
     (observability helper for tests and experiment reports)."""
     replica = spec.make_replica()
+    injected: set[str] = set()
     t = 0
     while True:
         cell = memory.read(f"{spec.log_instance(t)}/dec")
         if cell is None:
             return replica
-        _apply_entry(spec, replica, cell[1])
+        _apply_entry(spec, replica, cell[1], injected)
         t += 1

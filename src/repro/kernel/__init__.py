@@ -65,21 +65,30 @@ def iter_schema_programs() -> Iterator[tuple[str, str, object]]:
     every automaton declared in :data:`repro.algorithms.LINT_SCHEMAS`.
 
     A declared name whose factory was already compiled (any closure it
-    produced shares one cached program) yields that cached program;
-    otherwise compilation of the declared object itself is attempted,
-    and the resulting :class:`UnsupportedAutomaton` is yielded for
-    factory-of-factory declarations that were never instantiated — call
-    :func:`warm_cache` first for full coverage.
+    produced shares one cached program) yields that cached program; one
+    whose closures were only refused yields the closures' cached
+    refusal.  Otherwise compilation of the declared object itself is
+    attempted, and the resulting :class:`UnsupportedAutomaton` is
+    yielded for factory-of-factory declarations that were never
+    instantiated — call :func:`warm_cache` first for full coverage.
     """
     import importlib
 
     from .. import algorithms
+    from .compiler import cached_refusals
 
-    by_root: dict[tuple[str, str], CompiledProgram] = {}
+    by_root: dict[tuple[str, str], CompiledProgram | UnsupportedAutomaton] = {}
     for program in cached_programs():
         module = program.module.rsplit(".", 1)[-1]
         root = program.qualname.split(".<locals>.")[0]
         by_root.setdefault((module, root), program)
+    for refusal in cached_refusals():
+        root, closure, _ = refusal.qualname.partition(".<locals>.")
+        if closure:  # a closure a factory built, not a declared object
+            module = refusal.module.rsplit(".", 1)[-1]
+            by_root.setdefault(
+                (module, root), UnsupportedAutomaton(refusal.reason)
+            )
 
     for module_name, schema in sorted(algorithms.LINT_SCHEMAS.items()):
         module = importlib.import_module(

@@ -79,10 +79,12 @@ __all__ = [
     "UnsupportedAutomaton",
     "OpSite",
     "CompiledProgram",
+    "Refusal",
     "compile_automaton",
     "compiled_source",
     "clear_cache",
     "cached_programs",
+    "cached_refusals",
 ]
 
 #: Version/feature tag of this compiler.  The compilation cache —
@@ -1392,14 +1394,27 @@ def _compile(fn: Callable) -> CompiledProgram:
     )
 
 
+@dataclass(frozen=True)
+class Refusal:
+    """A cached negative compilation result: which automaton was
+    refused, and why."""
+
+    qualname: str
+    module: str
+    reason: str
+
+
 #: Compilation cache keyed on ``(code object, COMPILER_TAG)``: every
 #: closure produced by the same factory shares one program (free
 #: variables are bound at ``make`` time, not compile time).  Negative
 #: results are cached too, so the engine pays the unsupported-subset
 #: analysis once per automaton, not once per process — and because the
 #: tag participates in the key, a stale "unsupported" verdict cached by
-#: an older compiler build is simply never consulted again.
-_CACHE: dict[Any, CompiledProgram | UnsupportedAutomaton] = {}
+#: an older compiler build is simply never consulted again.  A refusal
+#: is cached as its reason, never as the exception: re-raising one
+#: exception object would grow its traceback with every raise and keep
+#: every raising frame (and the system it was running) alive.
+_CACHE: dict[Any, CompiledProgram | Refusal] = {}
 
 
 def compile_automaton(fn: Callable) -> CompiledProgram:
@@ -1417,13 +1432,13 @@ def compile_automaton(fn: Callable) -> CompiledProgram:
     key = (code, COMPILER_TAG)
     cached = _CACHE.get(key)
     if cached is not None:
-        if isinstance(cached, UnsupportedAutomaton):
-            raise cached
+        if isinstance(cached, Refusal):
+            raise UnsupportedAutomaton(cached.reason)
         return cached
     try:
         program = _compile(fn)
     except UnsupportedAutomaton as exc:
-        _CACHE[key] = exc
+        _CACHE[key] = Refusal(fn.__qualname__, fn.__module__, str(exc))
         raise
     _CACHE[key] = program
     return program
@@ -1444,3 +1459,8 @@ def clear_cache() -> None:
 def cached_programs() -> list[CompiledProgram]:
     """Every successfully compiled program currently cached."""
     return [p for p in _CACHE.values() if isinstance(p, CompiledProgram)]
+
+
+def cached_refusals() -> list[Refusal]:
+    """Every cached refusal (automata that fall back)."""
+    return [p for p in _CACHE.values() if isinstance(p, Refusal)]

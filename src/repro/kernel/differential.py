@@ -33,7 +33,7 @@ the gate trips.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator
 
 from ..core.failures import FailurePattern
@@ -680,18 +680,40 @@ def _site_covered(site: Any, fp: Any) -> bool:
 
 
 def campaign_differential(*, limit: int = 6) -> tuple[str, str]:
-    """Render the smoke campaign through both kernels; the two reports
-    must be byte-identical.  Returns (interp_render, compiled_render).
-    """
-    from ..chaos.campaign import run_campaign, smoke_campaign
+    """Render the first ``limit`` cells of the smoke campaign, and as
+    many of the same sweep over the one-concurrent consensus solver,
+    through both kernels; the two reports must be byte-identical.
+    Returns (interp_render, compiled_render).
 
-    interp = run_campaign(
-        smoke_campaign(), limit=limit, kernel="interp"
+    The smoke campaign's Theorem 9 cells run on the interpreter under
+    either kernel (their Figure 2 automata do not compile); the
+    one-concurrent cells run compiled step functions.
+    """
+    from ..chaos.campaign import Workload, run_campaign, smoke_campaign
+
+    smoke = smoke_campaign()
+    specs = (
+        smoke,
+        replace(
+            smoke,
+            name="smoke-one-concurrent",
+            workloads=[
+                Workload(
+                    task={"family": "consensus", "n": 3},
+                    detector={"family": "none"},
+                    algorithm="one-concurrent",
+                )
+            ],
+        ),
     )
-    compiled = run_campaign(
-        smoke_campaign(), limit=limit, kernel="compiled"
+    interp, compiled = (
+        "".join(
+            run_campaign(spec, limit=limit, kernel=kernel).render()
+            for spec in specs
+        )
+        for kernel in ("interp", "compiled")
     )
-    return interp.render(), compiled.render()
+    return interp, compiled
 
 
 # -- orchestration -------------------------------------------------------

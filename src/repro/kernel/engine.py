@@ -32,7 +32,8 @@ Structure of a run:
 
 ``advance(limit)`` steps at most ``limit`` scheduler turns; ``run()``
 advances to the end.  Campaigns run one ``CompiledRun`` per cell, to
-completion, through :func:`execute_compiled`.
+completion, through :func:`execute_compiled` — unless no automaton of
+the cell's system compiles, in which case it runs the interpreter.
 """
 
 from __future__ import annotations
@@ -792,22 +793,39 @@ def execute_compiled(
 ) -> RunResult:
     """Compiled-kernel counterpart of :func:`repro.runtime.executor.execute`.
 
-    ``stop_when`` predicates observe a live :class:`Executor`, which the
-    compiled engine does not expose — such runs are delegated to the
-    interpreter wholesale (correct by construction, just not faster).
+    Two kinds of run are delegated to the interpreter wholesale
+    (correct by construction, and no slower): ``stop_when`` predicates
+    observe a live :class:`Executor`, which the compiled engine does not
+    expose; and a system none of whose automata compiles would run
+    every step through :class:`CompiledRun`'s fallback closures, a
+    slower copy of :meth:`Executor.run`'s dispatch.
     """
-    if stop_when is not None:
-        return execute(
+    if stop_when is None and (
+        program_overrides
+        or any(
+            _compiles(factory)
+            for factory in (*system.c_factories, *system.s_factories)
+        )
+    ):
+        return CompiledRun(
             system,
             scheduler,
             max_steps=max_steps,
             trace=trace,
-            stop_when=stop_when,
-        )
-    return CompiledRun(
+            program_overrides=program_overrides,
+        ).run()
+    return execute(
         system,
         scheduler,
         max_steps=max_steps,
         trace=trace,
-        program_overrides=program_overrides,
-    ).run()
+        stop_when=stop_when,
+    )
+
+
+def _compiles(factory: Callable) -> bool:
+    try:
+        compile_automaton(factory)
+    except UnsupportedAutomaton:
+        return False
+    return True

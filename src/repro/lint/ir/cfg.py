@@ -16,8 +16,11 @@ The graph is conservative in the usual directions:
 * unreachable statements (after a ``return``/``break``) still get
   nodes — with no predecessors — so rules can see them without
   counting them as live paths;
-* ``match`` and other statements the builder does not model
-  structurally fall through as straight-line nodes.
+* each ``case`` of a ``match`` is a block entered from the match node,
+  which also falls through to the next statement unless some case is
+  irrefutable (a capture or wildcard with no guard);
+* statements the builder does not model structurally fall through as
+  straight-line nodes.
 
 Yields are classified by :func:`repro.lint.protocol.classify_yield`.
 ``yield name`` resolves when the generator's own scope binds ``name``
@@ -117,7 +120,7 @@ def _is_const_true(test: ast.expr) -> bool:
 
 
 _SCOPE_BARRIERS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-_BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers")
+_BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
 if sys.version_info >= (3, 11):
     _TRY_STATEMENTS = (ast.Try, ast.TryStar)
 else:  # pragma: no cover - Python 3.10
@@ -133,8 +136,8 @@ def _header_nodes(stmt: ast.stmt) -> Iterator[ast.AST]:
         if not sub:
             continue
         blocks = (
-            [handler.body for handler in sub]
-            if field_name == "handlers"
+            [clause.body for clause in sub]
+            if field_name in ("handlers", "cases")
             else [sub]
         )
         for block in blocks:
@@ -150,6 +153,16 @@ def _header_nodes(stmt: ast.stmt) -> Iterator[ast.AST]:
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
+
+
+def _irrefutable(pattern: ast.pattern) -> bool:
+    """Whether ``pattern`` matches every subject: a capture or wildcard,
+    possibly under ``as`` or inside an ``|`` alternative."""
+    if isinstance(pattern, ast.MatchAs):
+        return pattern.pattern is None or _irrefutable(pattern.pattern)
+    if isinstance(pattern, ast.MatchOr):
+        return any(_irrefutable(option) for option in pattern.patterns)
+    return False
 
 
 def _op_locals(
@@ -340,6 +353,17 @@ class _Builder:
 
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             return self._block(stmt.body, [node.index])
+
+        if isinstance(stmt, ast.Match):
+            exits = []
+            for case in stmt.cases:
+                exits.extend(self._block(case.body, [node.index]))
+            if not any(
+                case.guard is None and _irrefutable(case.pattern)
+                for case in stmt.cases
+            ):
+                exits.append(node.index)
+            return exits
 
         return [node.index]
 

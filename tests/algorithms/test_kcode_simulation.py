@@ -9,6 +9,7 @@ from repro.algorithms.kcode_simulation import (
     replay_log,
 )
 from repro.core import System, c_process
+from repro.core.system import INPUT_REGISTER_PREFIX
 from repro.detectors import VectorOmegaK
 from repro.runtime import (
     SeededRandomScheduler,
@@ -201,6 +202,58 @@ class TestInputInjectionAndDecisions:
                 seen.add(replica.decisions[0])
                 assert replica.decisions[0] in (1, 2, 3)
         assert seen
+
+
+class TestPrebuiltPolls:
+    def test_polls_of_one_kind_share_one_operation(self):
+        """Each simulator yields one prebuilt operation per polling
+        kind: its idle ``Nop``, its ``QueryFD``, its registration
+        snapshot, and, per log instance, its decision read.  A
+        proposal's own decision read (the step after the proposer's
+        input snapshot) is built by ``paxos.propose`` and is no poll."""
+        n, k = 3, 2
+        spec = F2Spec(
+            k=k,
+            code_factories=[butler_code] * k,
+            n=n,
+            result_register=lambda i: f"resreg/{i}",
+        )
+        c_factories, s_factories = figure2_factories(spec)
+        system = System(
+            inputs=(1, 2, 3),
+            c_factories=c_factories,
+            s_factories=s_factories,
+            detector=VectorOmegaK(n, k),
+            seed=0,
+        )
+        result = execute(
+            system, SeededRandomScheduler(0), max_steps=400_000, trace=True
+        )
+        assert result.reason == "all_decided"
+        polls = {}
+        last_prefix = {}
+        for event in result.trace.events:
+            op = event.op
+            proposing = last_prefix.get(event.pid) == INPUT_REGISTER_PREFIX
+            last_prefix[event.pid] = getattr(op, "prefix", None)
+            if isinstance(op, (ops.Nop, ops.QueryFD)):
+                kind = type(op).__name__
+            elif isinstance(op, ops.Snapshot):
+                if op.prefix == INPUT_REGISTER_PREFIX:
+                    continue
+                kind = op.prefix
+            elif isinstance(op, ops.Read) and op.register.endswith("/dec"):
+                if proposing:
+                    continue
+                kind = op.register  # one kind per log instance
+            else:
+                continue
+            polls.setdefault((event.pid, kind), []).append(op)
+        kinds = {kind for _, kind in polls}
+        assert {"Nop", "QueryFD", "f2/R/", "f2/Rever/", "f2/log/0/dec"} <= kinds
+        assert max(len(same) for same in polls.values()) > 10
+        for key, same in polls.items():
+            assert all(op is same[0] for op in same), key
 
 
 class TestDeparture:

@@ -1,16 +1,20 @@
 """One report whatever the route: backends ``inproc`` and ``pool`` ×
 kernels ``interp`` and ``compiled`` × ``strict_traces`` off and on,
-over the first 8 smoke cells, render identically and journal identical
-cell lines; and a journal cut after its first 3 cell lines resumes on
-either backend to the same report and the same cell lines."""
+over the first 6 smoke cells and two cells the compiled kernel
+compiles, render identically and journal identical cell lines; and a
+journal cut after its first 3 cell lines resumes on either backend to
+the same report and the same cell lines.  Every compiled route, resumed
+ones included, builds a ``CompiledRun`` for each compiling cell it
+runs."""
 
-import dataclasses
 import itertools
 import json
 
 import pytest
 
-from repro.chaos import run_campaign, smoke_campaign
+from repro.chaos import run_campaign
+
+from ..kernel.compiled_cells import count_compiled_runs, mixed_campaign
 
 CELLS = 8
 BACKENDS = ("inproc", "pool")
@@ -23,11 +27,12 @@ def _route_id(route):
 
 
 def _run(backend, kernel, strict, **journaling):
-    spec = dataclasses.replace(smoke_campaign(), strict_traces=strict)
+    """Run a route; the two compiling cells come last, so no pool
+    delivers them among its first three cells."""
+    spec = mixed_campaign(CELLS - 2, strict_traces=strict)
     workers = 2 if backend == "pool" else 1
     return run_campaign(
         spec,
-        limit=CELLS,
         backend=backend,
         kernel=kernel,
         workers=workers,
@@ -48,16 +53,23 @@ def _cell_lines(journal_text):
 
 @pytest.fixture(scope="module")
 def route(tmp_path_factory):
-    """Run a route once per module: ``(render, journal text)``."""
+    """Run a route once per module: ``(render, journal text, number of
+    CompiledRuns built)``."""
     done = {}
 
     def run(backend, kernel, strict):
         key = (backend, kernel, strict)
         if key not in done:
-            journal = tmp_path_factory.mktemp("journal") / "cells.jsonl"
-            report = _run(backend, kernel, strict, journal=str(journal))
+            directory = tmp_path_factory.mktemp("route")
+            journal = directory / "cells.jsonl"
+            with count_compiled_runs(directory) as built:
+                report = _run(backend, kernel, strict, journal=str(journal))
             assert len(report.records) == CELLS
-            done[key] = report.render(), journal.read_text(encoding="utf-8")
+            done[key] = (
+                report.render(),
+                journal.read_text(encoding="utf-8"),
+                built(),
+            )
         return done[key]
 
     return run
@@ -67,23 +79,26 @@ def route(tmp_path_factory):
     "backend,kernel,strict", ROUTES[1:], ids=map(_route_id, ROUTES[1:])
 )
 def test_route_matches_serial_interpreted(route, backend, kernel, strict):
-    render, journal = route(backend, kernel, strict)
-    reference_render, reference_journal = route(*ROUTES[0])
+    render, journal, built = route(backend, kernel, strict)
+    reference_render, reference_journal, _ = route(*ROUTES[0])
+    assert built == (2 if kernel == "compiled" else 0)
     assert render == reference_render
     assert _cell_lines(journal) == _cell_lines(reference_journal)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_resume_from_three_journaled_cells(route, tmp_path, backend):
-    _, journal = route(backend, "compiled", False)
+    _, journal, _ = route(backend, "compiled", False)
     header, *lines = journal.splitlines()
     first_three = [
         line for line in lines if json.loads(line)["kind"] == "cell"
     ][:3]
     cut = tmp_path / "cut.jsonl"
     cut.write_text("\n".join([header, *first_three]) + "\n", encoding="utf-8")
-    resumed = _run(backend, "compiled", False, resume=str(cut))
-    reference_render, reference_journal = route(*ROUTES[0])
+    with count_compiled_runs(tmp_path) as built:
+        resumed = _run(backend, "compiled", False, resume=str(cut))
+    assert built() == 2
+    reference_render, reference_journal, _ = route(*ROUTES[0])
     assert resumed.render() == reference_render
     assert _cell_lines(cut.read_text(encoding="utf-8")) == _cell_lines(
         reference_journal

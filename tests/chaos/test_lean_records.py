@@ -9,13 +9,15 @@ import pytest
 from repro.chaos import OUTCOME_HAZARD, run_campaign
 from repro.chaos.campaign import CampaignSpec, Workload
 
+from ..kernel.compiled_cells import count_compiled_runs
 from .test_fabric import LEAN_RECORD_BYTES
 from .test_strict_trace_bundle import hazard_cell
 
 
 def storm_spec() -> CampaignSpec:
-    """Two workloads under a crash storm (two S-processes crash at time
-    1), two schedulers: four cells of four shapes."""
+    """Three workloads under a crash storm (two S-processes crash at
+    time 1), two schedulers: six cells of six shapes.  The one-concurrent
+    consensus cells are the two the compiled kernel compiles."""
     return CampaignSpec(
         name="lean-storm",
         workloads=[
@@ -26,6 +28,11 @@ def storm_spec() -> CampaignSpec:
             Workload(
                 task={"family": "set-agreement", "n": 3, "k": 2},
                 detector={"family": "vector-omega", "k": 2},
+            ),
+            Workload(
+                task={"family": "consensus", "n": 3},
+                detector={"family": "none"},
+                algorithm="one-concurrent",
             ),
         ],
         patterns=[(None, 1, 1)],
@@ -45,9 +52,11 @@ def storm_spec() -> CampaignSpec:
     ],
     ids=["inproc", "pool", "compiled"],
 )
-def test_every_route_returns_lean_records(route):
-    report = run_campaign(storm_spec(), **route)
-    assert len(report.records) == 4
+def test_every_route_returns_lean_records(route, tmp_path):
+    with count_compiled_runs(tmp_path) as built:
+        report = run_campaign(storm_spec(), **route)
+    assert built() == (2 if route.get("kernel") == "compiled" else 0)
+    assert len(report.records) == 6
     assert report.ok and report.complete
     for record in report.records:
         assert record.result is None

@@ -1,22 +1,27 @@
 """Unit tests for the bench comparison helpers: the ``--compare``
-delta table, the per-pair kernel speedup gate, and the repeated pair
-runner it reads.
+delta table, the per-pair kernel speedup gate, the dispatch overhead
+gates, and the repeated pair runners they read.
 
 These exercise only the pure functions over results dictionaries; the
 timed workloads themselves are covered by running the suite (CI smoke
 mode) and are deliberately not re-run here.
 """
 
+import pytest
+
 from repro.bench import (
     KERNEL_PAIRS,
     KERNEL_SPEEDUP_MIN,
     PAIR_REPEATS,
     RATE_KEYS,
+    _run_dispatch_pair,
     _run_pair,
     compare_runs,
+    fabric_overhead_problems,
     kernel_speedup_problems,
     pair_speedup,
     render,
+    supervised_overhead_problems,
 )
 
 
@@ -152,3 +157,64 @@ class TestRunPair:
         assert interp_record == {"rate": 20.0}
         assert compiled_record["rate"] == 40.0
         assert compiled_record["speedup_runs"] == [2.0, 4.0, 1.5]
+
+
+class _Report:
+    """The two members of a campaign report a dispatch pair reads."""
+
+    fabric = None
+
+    def __init__(self, cells):
+        self.records = [None] * cells
+
+    def render(self):
+        return f"{len(self.records)} cells"
+
+
+def _dispatch_record(walls):
+    """A dispatch pair's record over 10-cell runs whose wall times are
+    ``walls``, serial and dispatched alternating; also returns the order
+    in which the two sides ran."""
+    calls = []
+    walls = iter(walls)
+
+    def side(name):
+        def run():
+            calls.append(name)
+            return _Report(10), next(walls)
+
+        return run
+
+    return _run_dispatch_pair(side("serial"), side("dispatched")), calls
+
+
+class TestDispatchGates:
+    def test_runs_alternate_and_the_record_is_the_median_overhead(self):
+        record, calls = _dispatch_record([1.0, 1.0, 1.0, 2.0, 1.0, 1.25])
+        assert calls == ["serial", "dispatched"] * PAIR_REPEATS
+        assert record["overhead_runs"] == pytest.approx([0.0, 0.5, 0.2])
+        assert record["overhead_frac"] == pytest.approx(0.2)
+        assert record["wall_s"] == 1.25 and record["cells"] == 10
+
+    def test_one_slow_repetition_trips_no_gate(self):
+        record, _ = _dispatch_record([1.0, 2.0, 1.0, 1.0, 1.0, 1.05])
+        results = {
+            "campaign_supervised": record,
+            "campaign_fabric_loopback": record,
+        }
+        assert supervised_overhead_problems(results) == []
+        assert fabric_overhead_problems(results) == []
+        assert supervised_overhead_problems({}) == []
+
+    def test_a_slow_median_repetition_trips_both_gates(self):
+        record, _ = _dispatch_record([1.0, 1.0, 1.0, 2.0, 1.0, 1.25])
+        results = {
+            "campaign_supervised": record,
+            "campaign_fabric_loopback": record,
+        }
+        (supervised,) = supervised_overhead_problems(results)
+        assert supervised.startswith("campaign_supervised: supervised pool")
+        assert "20.0% slower" in supervised and "budget: 10%" in supervised
+        (fabric,) = fabric_overhead_problems(results)
+        assert fabric.startswith("campaign_fabric_loopback: fabric dispatch")
+        assert "20.0% slower" in fabric and "budget: 15%" in fabric

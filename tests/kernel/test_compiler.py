@@ -2,6 +2,9 @@
 and that the generated artifacts (source, content hash, op sites) are
 stable and self-consistent."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import System
@@ -96,6 +99,33 @@ def test_unsupported_constructs_raise_and_are_cached():
     with pytest.raises(UnsupportedAutomaton):
         compile_automaton(not_a_generator)
     assert cached_programs() == []
+
+
+def test_cached_refusals_keep_no_frames_alive():
+    """A cached refusal raises a fresh exception each time, so no raise
+    grows a cached traceback that pins the raising frames: the systems
+    of runs that fell back are freed."""
+    from repro.kernel import CompiledRun, compiler
+    from repro.kernel.differential import all_cases
+
+    cases = {case.name: case for case in all_cases(smoke=True)}
+    refs = []
+    for name in ("catalog:renaming_figure3", "catalog:self_synchronization"):
+        case = cases[name]
+        for _ in range(5):
+            system, scheduler = case.build()
+            refs.append(weakref.ref(system))
+            run = CompiledRun(system, scheduler, max_steps=case.max_steps)
+            assert run.fallback_pids
+            run.run()
+            del system, scheduler, run
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 10
+    assert compiler.cached_refusals()
+    assert all(
+        getattr(entry, "__traceback__", None) is None
+        for entry in compiler._CACHE.values()
+    )
 
 
 def test_delegating_automaton_inlines_the_subroutine():

@@ -38,3 +38,27 @@ def test_coverage_regression_is_a_problem(tmp_path):
     regressed = [ROWS[0], CoverageRow(ROWS[1].name, "fallback", "why")]
     (problem,) = check_manifest(regressed, tmp_path)
     assert "'compiled' -> 'fallback'" in problem
+
+
+def test_census_names_the_refusal_of_the_instantiated_closure():
+    """A factory-of-factories falls back for its closure's reason, not
+    for the outer factory's "not a generator function"."""
+    from repro.kernel import dump_all
+    from repro.kernel.coverage import coverage_rows
+
+    reasons = {
+        row.name: row.detail for row in coverage_rows()
+        if row.status == "fallback"
+    }
+    dump = dump_all()
+    for name in (
+        "kcode_simulation.figure2_c_factory",
+        "kcode_simulation.figure2_s_factory",
+        "renaming_figure3.figure3_factory",
+        "self_synchronization.interleave_factories",
+    ):
+        assert reasons[name] == "yield of a non-constructor expression"
+        assert (
+            f"# {name}: falls back to the interpreter (yield of a "
+            "non-constructor expression)"
+        ) in dump

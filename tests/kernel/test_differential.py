@@ -24,6 +24,8 @@ from repro.kernel.differential import (
 from repro.runtime import RoundRobinScheduler, ops
 from repro.runtime.executor import execute
 
+from .compiled_cells import count_compiled_runs
+
 _SMOKE_CASES = all_cases(smoke=True)
 
 
@@ -96,8 +98,10 @@ def test_footprint_crosscheck_clean_over_schema_automata():
     assert checked >= 20  # every compiled schema automaton's sites
 
 
-def test_campaign_reports_byte_identical():
-    interp_render, compiled_render = campaign_differential(limit=4)
+def test_campaign_reports_byte_identical(tmp_path):
+    with count_compiled_runs(tmp_path) as built:
+        interp_render, compiled_render = campaign_differential(limit=4)
+    assert built() == 4  # the one-concurrent cells
     assert interp_render == compiled_render
 
 

@@ -8,6 +8,7 @@ from repro.core import System
 from repro.core.failures import FailurePattern
 from repro.errors import ProtocolError
 from repro.kernel import CompiledRun, execute_compiled
+from repro.kernel.differential import canonical_result
 from repro.runtime import RoundRobinScheduler, ops
 from repro.runtime.executor import execute
 from repro.runtime.scheduler import SeededRandomScheduler
@@ -141,6 +142,59 @@ def test_crash_pattern_matches_interpreter():
     assert compiled.steps == interp.steps
     assert compiled.step_counts == interp.step_counts
     assert compiled.outputs == interp.outputs
+
+
+def opaque_idler(ctx):
+    idle = ops.Nop()
+    while True:
+        yield idle
+
+
+def _count_compiled_runs(monkeypatch):
+    built = []
+    real_init = CompiledRun.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledRun, "__init__", counted_init)
+    return built
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_execute_compiled_runs_the_interpreter_when_nothing_compiles(
+    monkeypatch, trace
+):
+    built = _count_compiled_runs(monkeypatch)
+
+    def system():
+        return build(factory=opaque, s_factories=[opaque_idler] * 3)
+
+    result = execute_compiled(
+        system(), SeededRandomScheduler(5), max_steps=2_000, trace=trace
+    )
+    assert built == []
+    interp = execute(
+        system(), SeededRandomScheduler(5), max_steps=2_000, trace=trace
+    )
+    assert canonical_result(result) == canonical_result(interp)
+    assert (result.trace is not None) == trace
+
+
+def test_execute_compiled_builds_a_run_when_one_automaton_compiles(
+    monkeypatch,
+):
+    built = _count_compiled_runs(monkeypatch)
+    system = System(
+        inputs=(0, 1, 2),
+        c_factories=[opaque, opaque, writer],
+        s_factories=[opaque_idler] * 3,
+    )
+    result = execute_compiled(system, RoundRobinScheduler(), max_steps=2_000)
+    (run,) = built
+    assert len(run.compiled_pids) == 1 and len(run.fallback_pids) == 5
+    assert result.outputs == (0, 1, 2)
 
 
 def test_execute_compiled_delegates_stop_when_to_interpreter():

@@ -9,8 +9,8 @@ import gc
 import itertools
 import weakref
 
-from repro.chaos import run_campaign, smoke_campaign
-from repro.chaos.campaign import CampaignSpec, run_cell
+from repro.chaos import run_campaign
+from repro.chaos.campaign import run_cell
 from repro.core import System
 from repro.core.process import s_process
 from repro.kernel import (
@@ -22,22 +22,7 @@ from repro.kernel.lanes import lane_shape_key
 from repro.runtime import ops
 from repro.runtime.scheduler import ExplicitScheduler
 
-
-class CellsCampaign(CampaignSpec):
-    """A campaign over an explicit list of cells."""
-
-    def __init__(self, cells):
-        super().__init__(name="explicit-cells", workloads=[])
-        self._cells = list(cells)
-
-    def cells(self):
-        yield from self._cells
-
-
-def _cells(count):
-    cells = list(smoke_campaign().cells())
-    assert len(cells) >= count
-    return cells[:count]
+from .compiled_cells import COMPILING_CELL, CellsCampaign, count_compiled_runs
 
 
 def _assert_matches_interp(cells, records):
@@ -68,9 +53,12 @@ def _compiled_records(cells):
     return report.records
 
 
-def test_single_seed_single_lane():
-    cells = _cells(1)
-    _assert_matches_interp(cells, _compiled_records(cells))
+def test_single_seed_single_lane(tmp_path):
+    cells = [COMPILING_CELL]
+    with count_compiled_runs(tmp_path) as built:
+        records = _compiled_records(cells)
+    assert built() == 1
+    _assert_matches_interp(cells, records)
 
 
 def test_compiled_seed_sweep_holds_one_run_at_a_time(monkeypatch):
@@ -92,7 +80,7 @@ def test_compiled_seed_sweep_holds_one_run_at_a_time(monkeypatch):
         peaks.append(len(live))
 
     monkeypatch.setattr(CompiledRun, "__init__", counted_init)
-    sweep = _seed_sweep(_cells(1)[0], range(12))
+    sweep = _seed_sweep(COMPILING_CELL, range(12))
     report = run_campaign(
         CellsCampaign(sweep), kernel="compiled", on_cell=on_cell
     )
@@ -130,7 +118,7 @@ def test_mixed_compiled_and_fallback_cells_match_interp(monkeypatch):
     monkeypatch.setattr(engine_mod, "compile_automaton", flaky_compile)
     monkeypatch.setattr(CompiledRun, "__init__", toggled_init)
 
-    sweep = _seed_sweep(_cells(1)[0], range(4))
+    sweep = _seed_sweep(COMPILING_CELL, range(4))
     _assert_matches_interp(sweep, _compiled_records(sweep))
     assert len(built) == 4
     assert any(built) and not all(built)

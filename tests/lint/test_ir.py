@@ -205,6 +205,38 @@ class TestCFGConstruction:
         assert reads == ["fam/a", "fam/b"]
         assert node_with_line(cfg, 4).index in node_with_line(cfg, 6).preds
 
+    @pytest.mark.parametrize(
+        "last_case, falls_through",
+        [
+            ("case 1:", True),
+            ("case _ if v:", True),
+            ("case _:", False),
+            ("case 1 | _:", False),
+            ("case (_ as w):", False),
+        ],
+    )
+    def test_match_cases_are_blocks(self, last_case, falls_through):
+        cfg = cfg_of(
+            f"""
+            def auto(ctx):
+                v = yield ops.Read("fam/a")
+                match v:
+                    case None:
+                        yield ops.Write("fam/b", 1)
+                    {last_case}
+                        yield ops.Write("fam/c", 2)
+                yield ops.Decide(v)
+            """
+        )
+        match = node_with_line(cfg, 4)
+        assert not match.yields  # the case bodies have their own nodes
+        decide = node_with_line(cfg, 9)
+        cases = {node_with_line(cfg, 6).index, node_with_line(cfg, 8).index}
+        assert set(match.succs) == cases | (
+            {decide.index} if falls_through else set()
+        )
+        assert cases <= set(decide.preds)
+
     def test_defs_uses_and_advice(self):
         cfg = cfg_of(
             """

@@ -345,6 +345,32 @@ class TestDecideOnceOnTheCFG:
         schema = ModuleSchema(c_automata=("fine",))
         assert run_rule(DecideOnce, source, schema) == []
 
+    def test_quiet_on_decide_then_return_inside_a_case(self):
+        source = """\
+        def matcher(ctx):
+            v = yield ops.Read("fam/x")
+            match v:
+                case None:
+                    yield ops.Decide(0)
+                    return
+            yield ops.Decide(v)
+        """
+        schema = ModuleSchema(c_automata=("matcher",))
+        assert run_rule(DecideOnce, source, schema) == []
+
+    def test_fires_on_decide_in_a_case_the_match_falls_out_of(self):
+        source = """\
+        def matcher(ctx):
+            v = yield ops.Read("fam/x")
+            match v:
+                case None:
+                    yield ops.Decide(0)
+            yield ops.Decide(v)
+        """
+        schema = ModuleSchema(c_automata=("matcher",))
+        findings = run_rule(DecideOnce, source, schema)
+        assert [f.line for f in findings] == [5]
+
 
 class TestOpsBoundToLocals:
     def test_query_through_a_local_fires_cnoquery(self):
