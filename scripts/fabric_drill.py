@@ -545,8 +545,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             failures += 1
         if journal_path:
-            # Physical cell-record count (load_journal would dedup by
-            # index and hide double-appends); control-plane events in
+            # Physical cell-record count (scan_journal's cells dedup by
+            # index and would hide double-appends); control-plane events in
             # the same file don't count.
             physical = _journal_cell_records(journal_path)
             if physical != cells:

@@ -100,8 +100,8 @@ spec = CampaignSpec(
 )
 cell = next(iter(spec.cells()))
 mark("cell")
-record = _run_cell_guarded((cell, False, "interp"))
-print(json.dumps({"ok": record.outcome == "ok"}))
+verdict = _run_cell_guarded((cell, False, "interp"))
+print(json.dumps({"ok": verdict["outcome"] == "ok"}))
 """
 
 #: Starts ``repro worker`` subprocesses through the hook: perfbench's

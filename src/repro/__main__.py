@@ -451,8 +451,6 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                 inject_worker_kill=args.inject_worker_kill,
             )
     except CampaignInterrupted as exc:
-        if fabric is not None:
-            fabric.close()  # idempotent; frees the port for the resume
         print(f"interrupted: {exc}")
         if exc.journal_path:
             # The exact command, ready to paste: for fabric runs the
@@ -474,14 +472,8 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         return EXIT_RESUMABLE
     except ResilienceError as exc:
         # A setting or journal the campaign refuses is a usage error.
-        if fabric is not None:
-            fabric.close()
         print(f"chaos run: {exc}", file=sys.stderr)
         return 2
-    except BaseException:
-        if fabric is not None:
-            fabric.close()  # never leak the listener on an error path
-        raise
     print(report.render())
     if report.fabric is not None:
         print(f"fabric: {report.fabric.summary()}", file=sys.stderr)

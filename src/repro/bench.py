@@ -40,9 +40,7 @@ RATE_KEYS = {
     "explorer_por_deep_renaming": "explored_per_s",
     "explorer_symmetry_kset": "explored_per_s",
     "campaign_smoke": "cells_per_s",
-    "campaign_compiled": "cells_per_s",
     "campaign_seed_sweep": "cells_per_s",
-    "campaign_compiled_seed_sweep": "cells_per_s",
     "campaign_supervised": "cells_per_s",
     "campaign_fabric_loopback": "cells_per_s",
 }
@@ -57,8 +55,6 @@ KERNEL_PAIRS = {
     "executor_compiled_crashes": "executor_crashes",
     "executor_compiled_snapshot": "executor_snapshot",
     "executor_compiled_paxos_inlined": "executor_paxos_inlined",
-    "campaign_compiled": "campaign_smoke",
-    "campaign_compiled_seed_sweep": "campaign_seed_sweep",
 }
 
 #: Per-pair minimum speedups for :func:`kernel_speedup_problems`, each
@@ -70,22 +66,15 @@ KERNEL_PAIRS = {
 #: what compiled step functions add to that loop: 1.7-4.0x on the
 #: synthetic executor workloads (medians: ``rw_n8`` 2.38x full / 2.37x
 #: smoke, ``nop_n32`` 1.73x / 2.07x, ``crashes`` 2.39x / 2.39x,
-#: ``snapshot`` 4.00x / 3.86x), 1.39x / 1.35x on the paxos-inlined one,
-#: and nothing on the campaign pairs (``campaign_compiled`` 1.02x /
-#: 1.02x, the seed sweep 0.98x / 0.99x): their cells are Theorem 9
-#: cells, whose Figure 2 automata do not compile, so
-#: :func:`repro.kernel.execute_compiled` runs them on the interpreter
-#: and those pairs compare the interpreter with itself.  The floors
-#: still catch a compiled engine that falls well behind the
-#: interpreter.
+#: ``snapshot`` 4.00x / 3.86x) and 1.39x / 1.35x on the paxos-inlined
+#: one.  The floors still catch a compiled engine that falls well
+#: behind the interpreter.
 KERNEL_SPEEDUP_MIN = {
     "executor_compiled_rw_n8": 1.95,
     "executor_compiled_nop_n32": 1.35,
     "executor_compiled_crashes": 1.9,
     "executor_compiled_snapshot": 2.95,
     "executor_compiled_paxos_inlined": 1.05,
-    "campaign_compiled": 0.75,
-    "campaign_compiled_seed_sweep": 0.75,
 }
 
 #: Repetitions of each kernel pair and of each dispatch case.  A kernel
@@ -322,29 +311,17 @@ def _bench_explorer_symmetry(max_depth: int) -> dict[str, Any]:
     )
 
 
-def _bench_campaign(
-    cells: int, workers: int, *, kernel: str = "interp"
-) -> dict[str, Any]:
+def _bench_campaign(cells: int, workers: int) -> dict[str, Any]:
     from .chaos import run_campaign, smoke_campaign
 
-    if kernel == "compiled":
-        # As in _bench_executor_compiled: the content-hash cache makes
-        # compilation a one-time cost in real workloads, so steady-state
-        # campaign throughput is what the benchmark tracks.
-        from .kernel import warm_cache
-
-        warm_cache()
     t0 = time.perf_counter()
-    report = run_campaign(
-        smoke_campaign(), limit=cells, workers=workers, kernel=kernel
-    )
+    report = run_campaign(smoke_campaign(), limit=cells, workers=workers)
     wall = time.perf_counter() - t0
     return {
         "wall_s": wall,
         "cells_per_s": len(report.records) / wall,
         "cells": len(report.records),
         "workers": workers,
-        "kernel": kernel,
         "counts": dict(report.counts),
     }
 
@@ -352,7 +329,7 @@ def _bench_campaign(
 def _sweep_campaign(seeds: int):
     """One system shape, many detector seeds, no crashes: k-set
     agreement over the paxos-inlined kset_vector algorithm.  Every cell
-    differs only in its seed, so the pair times many runs of one
+    differs only in its seed, so the case times many runs of one
     shape."""
     from .chaos.campaign import CampaignSpec, Workload
 
@@ -372,21 +349,16 @@ def _sweep_campaign(seeds: int):
     )
 
 
-def _bench_campaign_sweep(seeds: int, *, kernel: str) -> dict[str, Any]:
+def _bench_campaign_sweep(seeds: int) -> dict[str, Any]:
     from .chaos import run_campaign
 
-    if kernel == "compiled":
-        from .kernel import warm_cache
-
-        warm_cache()  # compile outside the timed region, as above
     t0 = time.perf_counter()
-    report = run_campaign(_sweep_campaign(seeds), kernel=kernel)
+    report = run_campaign(_sweep_campaign(seeds))
     wall = time.perf_counter() - t0
     return {
         "wall_s": wall,
         "cells_per_s": len(report.records) / wall,
         "cells": len(report.records),
-        "kernel": kernel,
         "counts": dict(report.counts),
     }
 
@@ -688,15 +660,7 @@ def run_benchmarks(
             12 if smoke else 16
         ),
         "campaign_smoke": lambda: _bench_campaign(cells, workers),
-        "campaign_compiled": lambda: _bench_campaign(
-            cells, 1, kernel="compiled"
-        ),
-        "campaign_seed_sweep": lambda: _bench_campaign_sweep(
-            sweep_seeds, kernel="interp"
-        ),
-        "campaign_compiled_seed_sweep": lambda: _bench_campaign_sweep(
-            sweep_seeds, kernel="compiled"
-        ),
+        "campaign_seed_sweep": lambda: _bench_campaign_sweep(sweep_seeds),
         "campaign_supervised": lambda: _bench_campaign_pools(
             dispatch_cells, max(2, workers)
         ),

@@ -172,9 +172,10 @@ class CellRecord:
     succeeded first try (retried runs are deterministic re-executions).
     ``result`` is filled only by :func:`run_cell`, the single-cell
     diagnostic API (shrink, bundle, replay).  Every campaign record is
-    its verdict alone — outcome, detail, steps, attempts, the same
-    fields the journal and the fabric wire carry — whichever route ran
-    the cell.
+    its verdict alone, whichever route ran the cell.
+    :meth:`verdict` and :meth:`from_verdict` are the only codec of that
+    verdict: the pool pipe, the fabric's result frames and the
+    journal's cell lines all carry the mapping :meth:`verdict` returns.
     """
 
     cell: CellSpec
@@ -186,6 +187,30 @@ class CellRecord:
 
     def format_row(self) -> str:
         return f"{self.outcome:18} {self.steps:>7}  {self.cell.label()}"
+
+    def verdict(self) -> dict[str, Any]:
+        """The outcome, detail, steps and attempts, in the key order of
+        the journal's cell lines."""
+        return {
+            "outcome": self.outcome,
+            "detail": self.detail,
+            "steps": self.steps,
+            "attempts": self.attempts,
+        }
+
+    @classmethod
+    def from_verdict(
+        cls, cell: CellSpec, verdict: Mapping[str, Any]
+    ) -> "CellRecord":
+        """Read back a :meth:`verdict` mapping (other keys, such as a
+        result frame's ``type`` and ``index``, are ignored)."""
+        return cls(
+            cell,
+            str(verdict.get("outcome", OUTCOME_ERROR)),
+            detail=str(verdict.get("detail", "")),
+            steps=int(verdict.get("steps", 0)),
+            attempts=int(verdict.get("attempts", 1)),
+        )
 
 
 @dataclass
@@ -260,11 +285,6 @@ class CampaignSpec:
         max_steps: per-cell liveness budget.
         pattern_seed: determinism seed for derived patterns.
         strict_traces: also classify trace hazards (lint trace rules).
-        workers: default supervised-pool width for :func:`run_campaign`
-            (1 = in-process serial execution).  Parallel runs produce
-            reports byte-identical to serial ones: every cell carries
-            its own seeds, so its run is independent of which worker
-            executes it, and records are collected in cell order.
     """
 
     name: str
@@ -279,7 +299,6 @@ class CampaignSpec:
     max_steps: int = 120_000
     pattern_seed: int = 0
     strict_traces: bool = False
-    workers: int = 1
 
     def _patterns_for(self, n: int) -> list[tuple]:
         if isinstance(self.patterns, int):
@@ -465,16 +484,17 @@ def run_cell(
     return record
 
 
-def _run_cell_guarded(job: tuple[CellSpec, bool, str]) -> CellRecord:
+def _run_cell_guarded(job: tuple[CellSpec, bool, str]) -> dict[str, Any]:
     """The campaign job function — module-level, so picklable — shared
     by serial in-process runs, :class:`~repro.resilience.SupervisedPool`
     workers, and fabric workers.  ``job`` is ``(cell, strict_traces,
     kernel)``.
 
     The cell runs traced only when ``strict_traces`` makes
-    classification read the trace, and the record it returns is the
-    verdict alone, so no run crosses a worker pipe.  A raising cell
-    degrades to an ``"error"`` record instead of aborting the sweep.
+    classification read the trace, and the job returns the cell's
+    :meth:`CellRecord.verdict`: a worker sends back neither the run
+    nor the cell spec.  A raising cell degrades to an ``"error"``
+    verdict instead of aborting the sweep.
     """
     cell, strict_traces, kernel = job
     try:
@@ -489,14 +509,14 @@ def _run_cell_guarded(job: tuple[CellSpec, bool, str]) -> CellRecord:
         record = CellRecord(
             cell, OUTCOME_ERROR, detail=f"{type(exc).__name__}: {exc}"
         )
-    return record
+    return record.verdict()
 
 
 def _record_from_job(cell: CellSpec, job: JobResult) -> CellRecord:
     """Map a supervised :class:`~repro.resilience.JobResult` onto a
     :class:`CellRecord` (quarantined jobs become triaged outcomes)."""
     if job.ok:
-        record = job.value
+        record = CellRecord.from_verdict(cell, job.value)
         record.attempts = job.attempts
         return record
     if job.kind == "task_error":
@@ -512,76 +532,12 @@ def _record_from_job(cell: CellSpec, job: JobResult) -> CellRecord:
     return CellRecord(cell, job.kind, detail=detail, attempts=job.attempts)
 
 
-def _run_jobs_fabric(
-    spec: CampaignSpec,
-    cells: Sequence[CellSpec],
-    remaining: list[tuple[int, tuple]],
-    fingerprint: str,
-    record_result: Callable[[int, CellRecord], None],
-    run_supervised: Callable[[list[tuple[int, tuple]]], None],
-    fabric: Any,
-    journal_writer: Any = None,
-    recovered: Any = None,
-) -> Any:
-    """Dispatch ``remaining`` through a fabric coordinator; degrade any
-    leftover (no workers / all workers lost) to the local supervised
-    pool.  Returns the coordinator's :class:`~repro.resilience.fabric.
-    FabricStats`.
-
-    ``journal_writer`` makes the coordinator journal its control-plane
-    events (crash-recoverable run); ``recovered`` (a
-    :class:`~repro.resilience.journal.ControlPlaneState` from a resumed
-    journal) starts it in recovery mode."""
-    from ..resilience.fabric import FabricConfig, FabricCoordinator
-
-    if isinstance(fabric, FabricCoordinator):
-        coordinator = fabric
-    elif isinstance(fabric, FabricConfig) or fabric is None:
-        coordinator = FabricCoordinator(fabric)
-    else:
-        raise ResilienceError(
-            f"fabric must be a FabricCoordinator or FabricConfig, "
-            f"got {type(fabric).__name__}"
-        )
-
-    def on_message(index: int, message: Mapping[str, Any]) -> None:
-        record_result(
-            index,
-            CellRecord(
-                cells[index],
-                str(message.get("outcome", OUTCOME_ERROR)),
-                detail=str(message.get("detail", "")),
-                steps=int(message.get("steps", 0)),
-                attempts=int(message.get("attempts", 1)),
-            ),
-        )
-
-    try:
-        leftover = coordinator.run(
-            [(index, cells[index].to_json()) for index, _ in remaining],
-            on_message,
-            campaign=spec.name,
-            fingerprint=fingerprint,
-            strict_traces=spec.strict_traces,
-            journal=journal_writer,
-            recovered=recovered,
-        )
-    finally:
-        coordinator.close()
-    if leftover:
-        payloads = dict(remaining)
-        run_supervised(
-            [(index, payloads[index]) for index in sorted(leftover)]
-        )
-    return coordinator.stats
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
     limit: int | None = None,
     on_cell: Callable[[CellRecord], None] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     budget: CellBudget | None = None,
     retry: RetryPolicy | None = None,
     journal: str | None = None,
@@ -599,224 +555,229 @@ def run_campaign(
     budget, recorded with a quarantine outcome (``timeout`` / ``oom`` /
     ``worker_crash`` / ``flaky``) — the sweep always continues.
 
-    Every route returns verdict-only records (``record.result`` is
-    ``None``): the outcome, detail, steps, and attempts that the journal
-    and the fabric wire carry too.  Cells run traced only when
-    ``spec.strict_traces`` makes classification read the trace; use
-    :func:`run_cell` for a cell's full traced :class:`RunResult`.
+    Every route runs each cell through one job function,
+    :func:`_run_cell_guarded`, whose result is the cell's
+    :meth:`CellRecord.verdict`: records carry the outcome, detail,
+    steps and attempts only (``record.result`` is ``None``).  Cells run
+    traced only when ``spec.strict_traces`` makes classification read
+    the trace; use :func:`run_cell` for a cell's traced
+    :class:`RunResult`.
 
-    ``workers`` (default: ``spec.workers``) > 1 fans the cells out over
-    a :class:`~repro.resilience.SupervisedPool`.  Cells are fully
-    determined by their spec — every source of randomness is an
-    explicit per-cell seed — and records are collected in cell order,
-    so the resulting report (including :meth:`CampaignReport.render`)
-    is byte-identical to a serial run.
+    ``backend`` is resolved to a route once:
 
-    ``budget`` arms per-cell wall-clock/RSS watchdogs inside the
-    workers; setting it (or ``inject_worker_kill``, the fault drill
-    that SIGKILLs the worker running that cell index on its first
-    attempt) with ``workers=1`` still routes through a one-worker
-    supervised pool so the budget is enforceable.  Only supervised pool
-    workers enforce either knob, so the ``"inproc"`` and ``"fabric"``
-    backends refuse both with :class:`~repro.errors.ResilienceError`
-    rather than run the cells unguarded.  ``journal`` appends
-    every completed cell to a JSONL file the moment it finishes;
-    ``resume`` replays such a journal, re-executing only the missing
-    cells (the journal is fingerprint-pinned to the exact enumerated
-    campaign).  SIGINT/SIGTERM during a run raises
+    * ``"auto"`` (default) is ``"pool"`` when ``workers`` > 1 or when
+      ``budget`` or ``inject_worker_kill`` needs a worker to enforce
+      it, and ``"inproc"`` otherwise;
+    * ``"inproc"`` runs the cells one after another in this process;
+    * ``"pool"`` runs them on a :class:`~repro.resilience.SupervisedPool`
+      of ``workers`` processes;
+    * ``"fabric"`` first leases them to socket-connected workers through
+      a :class:`~repro.resilience.fabric.FabricCoordinator`
+      (lease-based at-least-once dispatch, idempotent result dedup).
+      What the fabric leaves undone — every cell when no worker
+      registers, the rest when every worker leaves past the degrade
+      window — goes to the same supervised pool as ``"pool"``, and
+      ``report.fabric.degraded`` records that it happened.
+
+    Every route hands each finished cell to one sink, which journals it
+    and delivers records to ``on_cell`` in cell order.  Cells are fully
+    determined by their spec (every source of randomness is an explicit
+    per-cell seed), so the report, :meth:`CampaignReport.render`
+    included, and the journal's cell lines are byte-identical whichever
+    route ran, retried or resumed the cells.
+
+    ``budget`` arms per-cell wall-clock/RSS watchdogs inside the pool
+    workers; ``inject_worker_kill`` is the fault drill that SIGKILLs the
+    worker running that cell index on its first attempt.  Only pool
+    workers enforce either, so ``"inproc"`` and ``"fabric"`` refuse both
+    with :class:`~repro.errors.ResilienceError` rather than run the
+    cells unguarded.  ``journal`` appends every completed cell to a
+    JSONL file the moment it finishes; ``resume`` replays such a
+    journal and runs only the missing cells (the journal is
+    fingerprint-pinned to the exact enumerated campaign).
+    SIGINT/SIGTERM during a run raises
     :class:`~repro.errors.CampaignInterrupted` after workers are stopped
     and the journal is flushed.
 
-    ``backend`` selects the dispatch substrate:
-
-    * ``"auto"`` (default) — serial in-process, unless ``workers`` > 1
-      or a budget/fault-injection knob requires a pool.
-    * ``"inproc"`` — force serial in-process execution; refuses
-      ``budget`` and ``inject_worker_kill``, which no worker would
-      enforce.
-    * ``"pool"`` — force the local supervised worker pool.
-    * ``"fabric"`` — shard cells across socket-connected remote workers
-      via a :class:`~repro.resilience.fabric.FabricCoordinator` with
-      lease-based at-least-once dispatch and idempotent result dedup
-      (pass ``fabric`` as a :class:`~repro.resilience.fabric.
-      FabricConfig`, a pre-bound coordinator, or ``None`` for loopback
-      defaults).  If no worker ever registers — or every worker
-      vanishes past the degrade window — the remaining cells run
-      through the local supervised pool instead, and
-      ``report.fabric.degraded`` records that it happened.  Either
-      way the report is byte-identical to a serial run.  With
-      ``journal``, the coordinator also logs its control-plane events
-      (lease grants/expiries, bench decisions), and ``resume`` then
-      restarts a SIGKILLed coordinator in recovery mode: journaled
-      cells are never redispatched, workers still holding valid
-      leases are re-admitted on reconnect, and spooled worker results
-      are replayed idempotently.  Fabric workers run no watchdog, so
-      this backend refuses ``budget`` and ``inject_worker_kill`` too.
+    On the fabric route, ``fabric`` is a :class:`~repro.resilience.
+    fabric.FabricConfig`, ``None`` for loopback defaults, or a
+    coordinator the caller has bound (to learn its address first).
+    ``run_campaign`` owns the coordinator either way and closes it on
+    every exit, refusals and interrupts included.  The coordinator runs
+    even when a resumed journal leaves no cell to lease, so
+    ``report.fabric`` (its :class:`~repro.resilience.fabric.FabricStats`)
+    always records the resume.  With
+    ``journal`` the coordinator logs its control-plane events too (lease
+    grants and expiries, bench decisions), and ``resume`` restarts a
+    SIGKILLed coordinator in recovery mode: journaled cells are never
+    redispatched, workers holding valid leases are re-admitted on
+    reconnect, and spooled worker results are replayed idempotently.
+    Other routes ignore ``fabric``.
 
     ``kernel`` selects the execution kernel per cell: ``"interp"``
-    (default) or ``"compiled"`` (:mod:`repro.kernel` — compiled step
+    (default) or ``"compiled"`` (:mod:`repro.kernel`: compiled step
     functions with per-automaton interpreter fallback, proven
-    byte-identical by the kernel differential harness).  The kernel
-    travels in each job, so every route runs one cell at a time
-    through the same job function, :func:`_run_cell_guarded`.  The
-    fabric backend does not accept ``kernel="compiled"``: its remote
-    workers negotiate only cell JSON, not kernel choice.
+    byte-identical by the kernel differential harness).  It travels in
+    each job; the fabric refuses ``"compiled"``, because its workers
+    negotiate only cell JSON.
     """
-    if workers is None:
-        workers = spec.workers
-    if backend not in BACKENDS:
-        raise ResilienceError(f"unknown backend: {backend!r}")
-    if kernel not in KERNELS:
-        raise ResilienceError(f"unknown kernel: {kernel!r}")
-    if kernel != "interp" and backend == "fabric":
-        raise ResilienceError(
-            "backend='fabric' does not support kernel="
-            f"{kernel!r}: fabric workers negotiate cell JSON only"
-        )
-    if backend in ("inproc", "fabric"):
-        for knob, value in (
-            ("budget", budget),
-            ("inject_worker_kill", inject_worker_kill),
-        ):
-            if value is not None:
-                raise ResilienceError(
-                    f"backend={backend!r} does not support {knob}: "
-                    f"only supervised pool workers enforce it"
-                )
-    cell_iter = spec.cells()
-    if limit is not None:
-        cell_iter = itertools.islice(cell_iter, limit)
-    cells = list(cell_iter)
-    fingerprint = campaign_fingerprint(
-        spec.name, cells, spec.strict_traces
-    )
-
-    records: dict[int, CellRecord] = {}
+    route = backend
+    if backend == "auto":
+        guarded = budget is not None or inject_worker_kill is not None
+        route = "pool" if workers > 1 or guarded else "inproc"
+    coordinator = None
     journal_writer: CampaignJournal | None = None
-    journal_path: str | None = None
-    recovered = None
-    if resume is not None:
-        scan = scan_journal(resume)
-        if scan.header.get("fingerprint") != fingerprint:
-            raise ResilienceError(
-                f"{resume}: journal fingerprint does not match this "
-                f"campaign (different spec, seed, or --cells limit)"
-            )
-        for index, line in scan.cells.items():
-            if 0 <= index < len(cells):
-                records[index] = CellRecord(
-                    cells[index],
-                    line["outcome"],
-                    detail=line.get("detail", ""),
-                    steps=int(line.get("steps", 0)),
-                    attempts=int(line.get("attempts", 1)),
-                )
-        if backend == "fabric":
-            # Coordinator crash recovery: rebuild the lease table and
-            # suspicion state from the journal's control-plane events
-            # so still-computing workers can reconnect and be
-            # re-admitted instead of having their cells redispatched.
-            recovered = recover_control_state(scan)
-        journal_path = str(resume)
-        journal_writer = CampaignJournal(resume).reopen()
-    elif journal is not None:
-        journal_path = str(journal)
-        journal_writer = CampaignJournal(journal).open(
-            {
-                "campaign": spec.name,
-                "fingerprint": fingerprint,
-                "cells": len(cells),
-            }
-        )
-
-    emitted = 0
-
-    def emit_ready() -> None:
-        """Deliver records to ``on_cell`` in cell order, as available."""
-        nonlocal emitted
-        while emitted < len(cells) and emitted in records:
-            if on_cell is not None:
-                on_cell(records[emitted])
-            emitted += 1
-
-    def record_result(index: int, record: CellRecord) -> None:
-        records[index] = record
-        if journal_writer is not None:
-            journal_writer.append_cell(
-                index,
-                outcome=record.outcome,
-                detail=record.detail,
-                steps=record.steps,
-                attempts=record.attempts,
-                cell_json=record.cell.to_json(),
-            )
-        emit_ready()
-
-    remaining = [
-        (index, (cells[index], spec.strict_traces, kernel))
-        for index in range(len(cells))
-        if index not in records
-    ]
-    fabric_stats = None
-
-    def run_supervised(jobs: list[tuple[int, tuple]]) -> None:
-        supervised = SupervisedPool(
-            _run_cell_guarded,
-            workers=max(1, workers),
-            budget=budget,
-            retry=retry,
-            kill_job_index=inject_worker_kill,
-        )
-
-        def on_job(job: JobResult) -> None:
-            record_result(
-                job.index, _record_from_job(cells[job.index], job)
-            )
-
-        supervised.run(jobs, on_result=on_job)
-
     try:
-        emit_ready()  # journal-replayed prefix first, in order
-        use_pool = (
-            backend == "pool"
-            or workers > 1
-            or budget is not None
-            or inject_worker_kill is not None
-        ) and backend != "inproc"
-        if not remaining:
-            pass
-        elif backend == "fabric":
-            fabric_stats = _run_jobs_fabric(
-                spec,
-                cells,
-                remaining,
-                fingerprint,
-                record_result,
-                run_supervised,
-                fabric,
-                journal_writer=journal_writer,
-                recovered=recovered,
+        if route == "fabric":
+            from ..resilience.fabric import FabricConfig, FabricCoordinator
+
+            if isinstance(fabric, FabricCoordinator):
+                coordinator = fabric
+            elif isinstance(fabric, FabricConfig) or fabric is None:
+                coordinator = FabricCoordinator(fabric)
+            else:
+                raise ResilienceError(
+                    f"fabric must be a FabricCoordinator or FabricConfig, "
+                    f"got {type(fabric).__name__}"
+                )
+        if backend not in BACKENDS:
+            raise ResilienceError(f"unknown backend: {backend!r}")
+        if kernel not in KERNELS:
+            raise ResilienceError(f"unknown kernel: {kernel!r}")
+        if kernel != "interp" and route == "fabric":
+            raise ResilienceError(
+                "backend='fabric' does not support kernel="
+                f"{kernel!r}: fabric workers negotiate cell JSON only"
             )
-        elif use_pool:
-            run_supervised(remaining)
-        else:
-            for index, job in remaining:
-                record_result(index, _run_cell_guarded(job))
-    except KeyboardInterrupt:
-        raise CampaignInterrupted(
-            f"campaign '{spec.name}' interrupted: "
-            f"{len(records)}/{len(cells)} cells durable",
-            journal_path=journal_path,
-            completed=len(records),
-            total=len(cells),
-        ) from None
+        if route in ("inproc", "fabric"):
+            for knob, value in (
+                ("budget", budget),
+                ("inject_worker_kill", inject_worker_kill),
+            ):
+                if value is not None:
+                    raise ResilienceError(
+                        f"backend={backend!r} does not support {knob}: "
+                        f"only supervised pool workers enforce it"
+                    )
+        cell_iter = spec.cells()
+        if limit is not None:
+            cell_iter = itertools.islice(cell_iter, limit)
+        cells = list(cell_iter)
+        fingerprint = campaign_fingerprint(
+            spec.name, cells, spec.strict_traces
+        )
+
+        records: dict[int, CellRecord] = {}
+        journal_path: str | None = None
+        recovered = None
+        if resume is not None:
+            scan = scan_journal(resume)
+            if scan.header.get("fingerprint") != fingerprint:
+                raise ResilienceError(
+                    f"{resume}: journal fingerprint does not match this "
+                    f"campaign (different spec, seed, or --cells limit)"
+                )
+            for index, line in scan.cells.items():
+                if 0 <= index < len(cells):
+                    records[index] = CellRecord.from_verdict(
+                        cells[index], line
+                    )
+            if route == "fabric":
+                # Coordinator crash recovery: rebuild the lease table
+                # and suspicion state from the journal's control-plane
+                # events so still-computing workers can reconnect and
+                # be re-admitted instead of having their cells
+                # redispatched.
+                recovered = recover_control_state(scan)
+            journal_path = str(resume)
+            journal_writer = CampaignJournal(resume).reopen()
+        elif journal is not None:
+            journal_path = str(journal)
+            journal_writer = CampaignJournal(journal).open(
+                {
+                    "campaign": spec.name,
+                    "fingerprint": fingerprint,
+                    "cells": len(cells),
+                }
+            )
+
+        emitted = 0
+
+        def emit_ready() -> None:
+            """Deliver records to ``on_cell`` in cell order, as available."""
+            nonlocal emitted
+            while emitted < len(cells) and emitted in records:
+                if on_cell is not None:
+                    on_cell(records[emitted])
+                emitted += 1
+
+        def record(index: int, cell_record: CellRecord) -> None:
+            """The one sink of every route: keep, journal, emit."""
+            records[index] = cell_record
+            if journal_writer is not None:
+                journal_writer.append_cell(
+                    index, cell_record.verdict(), cell_record.cell.to_json()
+                )
+            emit_ready()
+
+        remaining = [
+            (index, (cells[index], spec.strict_traces, kernel))
+            for index in range(len(cells))
+            if index not in records
+        ]
+        try:
+            emit_ready()  # journal-replayed prefix first, in order
+            if coordinator is not None:
+                leftover = coordinator.run(
+                    [(i, cells[i].to_json()) for i, _ in remaining],
+                    lambda index, verdict: record(
+                        index, CellRecord.from_verdict(cells[index], verdict)
+                    ),
+                    campaign=spec.name,
+                    fingerprint=fingerprint,
+                    strict_traces=spec.strict_traces,
+                    journal=journal_writer,
+                    recovered=recovered,
+                )
+                remaining = [job for job in remaining if job[0] in leftover]
+            if route == "inproc":
+                for index, job in remaining:
+                    record(
+                        index,
+                        CellRecord.from_verdict(
+                            cells[index], _run_cell_guarded(job)
+                        ),
+                    )
+            elif remaining:
+                SupervisedPool(
+                    _run_cell_guarded,
+                    workers=max(1, workers),
+                    budget=budget,
+                    retry=retry,
+                    kill_job_index=inject_worker_kill,
+                ).run(
+                    remaining,
+                    on_result=lambda job: record(
+                        job.index, _record_from_job(cells[job.index], job)
+                    ),
+                )
+        except KeyboardInterrupt:
+            raise CampaignInterrupted(
+                f"campaign '{spec.name}' interrupted: "
+                f"{len(records)}/{len(cells)} cells durable",
+                journal_path=journal_path,
+                completed=len(records),
+                total=len(cells),
+            ) from None
     finally:
         if journal_writer is not None:
             journal_writer.close()
+        if coordinator is not None:
+            coordinator.close()
     return CampaignReport(
         spec.name,
         [records[index] for index in range(len(cells))],
-        fabric=fabric_stats,
+        fabric=None if coordinator is None else coordinator.stats,
     )
 
 

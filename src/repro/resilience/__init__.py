@@ -59,7 +59,6 @@ _EXPORTS = {
         "atomic_write_bytes",
         "atomic_write_text",
         "campaign_fingerprint",
-        "load_journal",
         "record_crc",
         "record_fingerprint",
         "recover_control_state",
@@ -123,7 +122,6 @@ if TYPE_CHECKING:
         atomic_write_bytes,
         atomic_write_text,
         campaign_fingerprint,
-        load_journal,
         record_crc,
         record_fingerprint,
         recover_control_state,
@@ -201,7 +199,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "campaign_fingerprint",
-    "load_journal",
     "record_crc",
     "recover_control_state",
     "scan_journal",

@@ -422,10 +422,11 @@ class FabricCoordinator:
             "lease_s": cfg.lease_s,
         }
 
-        def finish(index: int, message: Mapping[str, Any]) -> None:
+        def finish(index: int, message: Mapping[str, Any]) -> bool:
             """Idempotent result sink: first result wins, duplicates
             (redispatched cells whose original result was delayed, not
-            lost) are counted and dropped."""
+            lost) are counted and dropped.  True when ``message`` was
+            the index's first result."""
             if message.get("spooled"):
                 # Counted before dedup: the vacuity check is "zero
                 # spooled results *lost*", and a spool replay that
@@ -441,15 +442,14 @@ class FabricCoordinator:
                 )
             if index in done:
                 self.stats.duplicates_dropped += 1
-                return
+                return False
             done.add(index)
             awaiting.pop(index, None)
             lease = leases.pop(index, None)
             if lease is not None:
                 lease.conn.leases.discard(index)
-            if message.get("outcome") != PARTITION_KIND:
-                self.stats.results += 1
             record_result(index, message)
+            return True
 
         # Replay registrations parked by wait_for_workers(), now that
         # the welcome carries the real campaign metadata.
@@ -544,7 +544,7 @@ class FabricCoordinator:
         self,
         cell: _CellState,
         pending: deque[int],
-        finish: Callable[[int, Mapping[str, Any]], None],
+        finish: Callable[[int, Mapping[str, Any]], bool],
     ) -> None:
         """Return a lost cell to the queue, or quarantine it once the
         redispatch budget is spent (a cell that never comes back is a
@@ -626,7 +626,7 @@ class FabricCoordinator:
         pending: deque[int],
         leases: dict[int, _Lease],
         awaiting: dict[int, _AwaitingLease],
-        finish: Callable[[int, Mapping[str, Any]], None],
+        finish: Callable[[int, Mapping[str, Any]], bool],
         *,
         timeout: float,
     ) -> None:
@@ -675,7 +675,7 @@ class FabricCoordinator:
             tuple[
                 Mapping[int, _CellState],
                 deque[int],
-                Callable[[int, Mapping[str, Any]], None],
+                Callable[[int, Mapping[str, Any]], bool],
             ]
             | None
         ),
@@ -716,7 +716,7 @@ class FabricCoordinator:
         cells: Mapping[int, _CellState],
         leases: dict[int, _Lease],
         awaiting: dict[int, _AwaitingLease],
-        finish: Callable[[int, Mapping[str, Any]], None],
+        finish: Callable[[int, Mapping[str, Any]], bool],
     ) -> None:
         kind = message.get("type")
         if kind == "register":
@@ -791,7 +791,8 @@ class FabricCoordinator:
                         }
                     )
                 conn.rehabilitate()
-                finish(index, message)
+                if finish(index, message):
+                    self.stats.results += 1
             # The ack releases the worker's copy.  ``finish`` has
             # recorded and journaled the result (or it was a duplicate);
             # an index this run does not hold was completed before a

@@ -259,18 +259,6 @@ def scan_journal(path: str | Path) -> JournalScan:
     return scan
 
 
-def load_journal(
-    path: str | Path,
-) -> tuple[dict[str, Any], dict[int, dict[str, Any]]]:
-    """Read a journal back: ``(header, {cell index: cell line})``.
-
-    Thin wrapper over :func:`scan_journal` keeping the historical
-    signature; corrupt mid-file records are quarantined, not fatal.
-    """
-    scan = scan_journal(path)
-    return scan.header, scan.cells
-
-
 def recover_control_state(scan: JournalScan) -> ControlPlaneState:
     """Replay the control-plane log into coordinator state.
 
@@ -402,16 +390,14 @@ class CampaignJournal:
     def append_cell(
         self,
         index: int,
-        *,
-        outcome: str,
-        detail: str,
-        steps: int,
-        attempts: int,
+        verdict: Mapping[str, Any],
         cell_json: Mapping[str, Any],
     ) -> bool:
-        """Append one completed campaign cell (idempotently: the dedup
-        key is the cell's index + spec, so a redispatched or retried
-        cell lands in the journal exactly once)."""
+        """Append one completed campaign cell: its verdict (the mapping
+        :meth:`~repro.chaos.campaign.CellRecord.verdict` returns) and
+        its spec.  Idempotent: the dedup key is the cell's index + spec,
+        so a redispatched or retried cell lands in the journal exactly
+        once."""
         fingerprint = record_fingerprint(
             {"index": index, "cell": dict(cell_json)}
         )
@@ -420,10 +406,7 @@ class CampaignJournal:
             {
                 "kind": "cell",
                 "index": index,
-                "outcome": outcome,
-                "detail": detail,
-                "steps": steps,
-                "attempts": attempts,
+                **verdict,
                 "cell": dict(cell_json),
             },
         )

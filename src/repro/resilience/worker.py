@@ -266,22 +266,15 @@ class _Heartbeater:
 def _execute_cell(
     cell_json: Mapping[str, Any], strict_traces: bool
 ) -> dict[str, Any]:
-    """Run one cell to a result message (imports deferred so the
-    resilience layer keeps no import-time dependency on the chaos
-    engine)."""
+    """Run one cell to a result message: the campaign job's verdict
+    (imports deferred so the resilience layer keeps no import-time
+    dependency on the chaos engine)."""
     from ..chaos.campaign import CellSpec, _run_cell_guarded
 
-    record = _run_cell_guarded(
+    verdict = _run_cell_guarded(
         (CellSpec.from_json(cell_json), strict_traces, "interp")
     )
-    return {
-        "type": "result",
-        "index": -1,  # caller fills in
-        "outcome": record.outcome,
-        "detail": record.detail,
-        "steps": record.steps,
-        "attempts": record.attempts,
-    }
+    return {"type": "result", "index": -1, **verdict}  # caller sets index
 
 
 def serve_connection(

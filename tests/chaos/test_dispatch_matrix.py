@@ -1,24 +1,35 @@
 """One report whatever the route: backends ``inproc`` and ``pool`` ×
-kernels ``interp`` and ``compiled`` × ``strict_traces`` off and on,
-over the first 6 smoke cells and two cells the compiled kernel
-compiles, render identically and journal identical cell lines; and a
-journal cut after its first 3 cell lines resumes on either backend to
-the same report and the same cell lines.  Every compiled route, resumed
-ones included, builds a ``CompiledRun`` for each compiling cell it
-runs."""
+kernels ``interp`` and ``compiled`` × ``strict_traces`` off and on, and
+``fabric`` (served by two in-process workers) × ``interp`` ×
+``strict_traces`` off and on, over the first 6 smoke cells and two
+cells the compiled kernel compiles, render identically and journal
+identical cell lines; and a journal cut after its first 3 cell lines
+resumes on every backend to the same report and the same cell lines.
+Every compiled route, resumed ones included, builds a ``CompiledRun``
+for each compiling cell it runs."""
 
 import itertools
 import json
+import threading
 
 import pytest
 
 from repro.chaos import run_campaign
+from repro.resilience import FabricConfig, FabricCoordinator, run_worker
 
 from ..kernel.compiled_cells import count_compiled_runs, mixed_campaign
 
 CELLS = 8
-BACKENDS = ("inproc", "pool")
-ROUTES = list(itertools.product(BACKENDS, ("interp", "compiled"), (False, True)))
+BACKENDS = ("inproc", "pool", "fabric")
+ROUTES = [
+    *itertools.product(
+        ("inproc", "pool"), ("interp", "compiled"), (False, True)
+    ),
+    # The fabric refuses kernel="compiled": its workers run cell JSON.
+    *itertools.product(("fabric",), ("interp",), (False, True)),
+]
+#: The kernel of the journal each backend's resume leg cuts and resumes.
+RESUME_KERNEL = {"inproc": "compiled", "pool": "compiled", "fabric": "interp"}
 
 
 def _route_id(route):
@@ -30,14 +41,38 @@ def _run(backend, kernel, strict, **journaling):
     """Run a route; the two compiling cells come last, so no pool
     delivers them among its first three cells."""
     spec = mixed_campaign(CELLS - 2, strict_traces=strict)
-    workers = 2 if backend == "pool" else 1
-    return run_campaign(
-        spec,
-        backend=backend,
-        kernel=kernel,
-        workers=workers,
-        **journaling,
+    if backend != "fabric":
+        workers = 2 if backend == "pool" else 1
+        return run_campaign(
+            spec,
+            backend=backend,
+            kernel=kernel,
+            workers=workers,
+            **journaling,
+        )
+    coordinator = FabricCoordinator(
+        FabricConfig(lease_s=30.0, heartbeat_s=0.5)
     )
+    host, port = coordinator.address
+    threads = [
+        threading.Thread(
+            target=run_worker,
+            args=(host, port),
+            kwargs={"name": f"w{i}"},
+            daemon=True,
+        )
+        for i in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    report = run_campaign(
+        spec, backend="fabric", fabric=coordinator, **journaling
+    )
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    assert not report.fabric.degraded
+    return report
 
 
 def _cell_lines(journal_text):
@@ -88,7 +123,8 @@ def test_route_matches_serial_interpreted(route, backend, kernel, strict):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_resume_from_three_journaled_cells(route, tmp_path, backend):
-    _, journal, _ = route(backend, "compiled", False)
+    kernel = RESUME_KERNEL[backend]
+    _, journal, _ = route(backend, kernel, False)
     header, *lines = journal.splitlines()
     first_three = [
         line for line in lines if json.loads(line)["kind"] == "cell"
@@ -96,8 +132,8 @@ def test_resume_from_three_journaled_cells(route, tmp_path, backend):
     cut = tmp_path / "cut.jsonl"
     cut.write_text("\n".join([header, *first_three]) + "\n", encoding="utf-8")
     with count_compiled_runs(tmp_path) as built:
-        resumed = _run(backend, "compiled", False, resume=str(cut))
-    assert built() == 2
+        resumed = _run(backend, kernel, False, resume=str(cut))
+    assert built() == (2 if kernel == "compiled" else 0)
     reference_render, reference_journal, _ = route(*ROUTES[0])
     assert resumed.render() == reference_render
     assert _cell_lines(cut.read_text(encoding="utf-8")) == _cell_lines(

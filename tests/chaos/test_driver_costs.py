@@ -92,8 +92,8 @@ spec = CampaignSpec(
     stabilization_times=(12,),
     max_steps=150_000,
 )
-record = _run_cell_guarded((next(iter(spec.cells())), False, "interp"))
-assert record.outcome == "ok", record
+verdict = _run_cell_guarded((next(iter(spec.cells())), False, "interp"))
+assert verdict["outcome"] == "ok", verdict
 assert "repro.algorithms.one_concurrent" in sys.modules
 UNNEEDED = (
     "repro.lint",

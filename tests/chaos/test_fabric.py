@@ -9,6 +9,7 @@ and timing-controlled.  End-to-end byte-identity runs real
 """
 
 import pickle
+import socket
 import threading
 import time
 
@@ -16,7 +17,9 @@ import pytest
 
 from repro.__main__ import EXIT_QUARANTINED, chaos_exit_code, main
 from repro.chaos import OUTCOME_PARTITION, run_campaign, smoke_campaign
+from repro.errors import ResilienceError
 from repro.resilience import (
+    CellBudget,
     ChaosProxy,
     FabricConfig,
     FabricCoordinator,
@@ -53,6 +56,19 @@ def _stub_execute(cell_json, strict_traces):
         "steps": 1,
         "attempts": 1,
     }
+
+
+def _port_is_free(address):
+    """True when a fresh socket can bind ``address``: nothing listens
+    on it any more."""
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        probe.bind(address)
+        return True
+    except OSError:
+        return False
+    finally:
+        probe.close()
 
 
 def _thread_worker(host, port, name, **kwargs):
@@ -312,10 +328,54 @@ class TestFabricBackend:
         )
 
     def test_unknown_backend_rejected(self):
-        from repro.errors import ResilienceError
-
         with pytest.raises(ResilienceError, match="backend"):
             run_campaign(smoke_campaign(), limit=1, backend="carrier")
+
+
+class TestCoordinatorOwnership:
+    """``run_campaign`` closes a coordinator handed to it on every
+    exit, so its caller never has to."""
+
+    def test_fully_journaled_resume_closes_the_coordinator(self, tmp_path):
+        # Every cell is journaled, so nothing is leased; the coordinator
+        # still sees the resume, and is closed.
+        spec = smoke_campaign()
+        journal = str(tmp_path / "j.jsonl")
+        serial = run_campaign(spec, limit=3, journal=journal)
+        coordinator = FabricCoordinator(FAST_FABRIC)
+        address = coordinator.address
+        resumed = run_campaign(
+            spec,
+            limit=3,
+            resume=journal,
+            backend="fabric",
+            fabric=coordinator,
+        )
+        assert _port_is_free(address)
+        assert resumed.render() == serial.render()
+        assert resumed.fabric.resumed
+        assert resumed.fabric.recovered_cells == 3
+
+    @pytest.mark.parametrize("refused", ["kernel", "budget", "fingerprint"])
+    def test_refused_campaign_closes_the_coordinator(self, tmp_path, refused):
+        journal = str(tmp_path / "j.jsonl")
+        run_campaign(smoke_campaign(), limit=2, journal=journal)
+        knobs = {
+            "kernel": {"kernel": "compiled"},
+            "budget": {"budget": CellBudget(deadline_s=1.0)},
+            "fingerprint": {"resume": journal},
+        }[refused]
+        coordinator = FabricCoordinator(FAST_FABRIC)
+        address = coordinator.address
+        with pytest.raises(ResilienceError, match=refused):
+            run_campaign(
+                smoke_campaign(),
+                limit=3,
+                backend="fabric",
+                fabric=coordinator,
+                **knobs,
+            )
+        assert _port_is_free(address)
 
 
 class TestChaosProxy:
@@ -487,8 +547,6 @@ class TestExitCodeContract:
         assert "budget" in err and "Traceback" not in err
 
     def test_fabric_compiled_kernel_is_a_usage_error(self, capsys):
-        import socket
-
         code = main(
             [
                 "chaos", "run", "--smoke", "--backend", "fabric",
@@ -505,11 +563,7 @@ class TestExitCodeContract:
         # port can be bound again.
         address = lines[0].split("listening on ")[1].split()[0]
         host, port = address.rsplit(":", 1)
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            probe.bind((host, int(port)))
-        finally:
-            probe.close()
+        assert _port_is_free((host, int(port)))
 
     def test_worker_rejects_malformed_endpoint(self, capsys):
         for endpoint, message in [

@@ -17,13 +17,6 @@ class TestParallelCampaign:
             r.cell for r in serial.records
         ]
 
-    def test_spec_workers_field_is_the_default(self):
-        spec = smoke_campaign()
-        spec.workers = 2
-        report = run_campaign(spec, limit=2)
-        assert len(report.records) == 2
-        assert report.ok
-
     def test_broken_cell_degrades_to_error_record_in_parallel(self):
         spec = CampaignSpec(
             name="broken",

@@ -51,14 +51,8 @@ class TestControlPlaneRecovery:
         )
 
     def _cell(self, journal, index):
-        journal.append_cell(
-            index,
-            outcome="ok",
-            detail="",
-            steps=1,
-            attempts=1,
-            cell_json={"seed": index},
-        )
+        verdict = {"outcome": "ok", "detail": "", "steps": 1, "attempts": 1}
+        journal.append_cell(index, verdict, {"seed": index})
 
     def test_outstanding_lease_survives_recovery(self, tmp_path):
         with self._journal(tmp_path) as journal:

@@ -6,6 +6,7 @@ costs nothing; journal round-trips prove interrupted sweeps resume to
 byte-identical reports.
 """
 
+import json
 import multiprocessing
 import time
 
@@ -26,12 +27,38 @@ from repro.resilience import (
     SupervisedPool,
     backoff_schedule,
     current_rss_mb,
-    load_journal,
+    scan_journal,
     triage,
 )
 
 #: No-retry policy with negligible backoff, so specimen tests stay fast.
 FAST_QUARANTINE = RetryPolicy(max_retries=0, backoff_base_s=0.01)
+
+
+#: The header and first cell line of a 2-cell smoke journal, as written
+#: since journal version 2.  Every resume reads cell lines back, so a
+#: renamed or reordered key would strand the journals already written.
+SMOKE_HEADER_2_CELLS = (
+    '{"kind":"header","format":"repro-chaos-journal","version":2,'
+    '"campaign":"smoke","fingerprint":'
+    '"6a06b2af5e3ca07c405fc10cde59aeedb04a1c22331914435167a5e065621a14",'
+    '"cells":2,"crc":663070464}'
+)
+SMOKE_CELL_0_LINE = (
+    '{"kind":"cell","index":0,"outcome":"ok","detail":"","steps":14737,'
+    '"attempts":1,"cell":{"task":{"family":"consensus","n":3},'
+    '"detector":{"family":"omega","stabilization_time":8},'
+    '"algorithm":"auto","pattern":[null,null,null],'
+    '"scheduler":{"kind":"round-robin"},"seed":0,"inputs":null,'
+    '"max_steps":80000},"fingerprint":'
+    '"d48564d95de879cc6bcedce2e9fa97ddaeb421ddb01d6c721ee965d48bbc564a",'
+    '"crc":3621162227}'
+)
+
+
+def _ok(detail: str = "", *, steps: int = 1) -> dict:
+    """An ``ok`` cell verdict, keyed as ``CellRecord.verdict`` keys it."""
+    return {"outcome": "ok", "detail": detail, "steps": steps, "attempts": 1}
 
 
 def specimen_spec(algorithm: str) -> CampaignSpec:
@@ -175,9 +202,28 @@ class TestJournalResume:
 
         resumed = run_campaign(spec, limit=8, resume=journal)
         assert resumed.render() == serial.render()
-        header, lines = load_journal(journal)
-        assert header["cells"] == 8
-        assert set(lines) == set(range(8))
+        scan = scan_journal(journal)
+        assert scan.header["cells"] == 8
+        assert set(scan.cells) == set(range(8))
+
+    def test_cell_line_is_pinned_byte_for_byte(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        run_campaign(smoke_campaign(), limit=2, journal=str(journal))
+        header, cell_0, _ = journal.read_text(encoding="utf-8").splitlines()
+        assert header == SMOKE_HEADER_2_CELLS
+        assert cell_0 == SMOKE_CELL_0_LINE
+
+    def test_pinned_journal_resumes(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text(
+            f"{SMOKE_HEADER_2_CELLS}\n{SMOKE_CELL_0_LINE}\n", encoding="utf-8"
+        )
+        resumed = run_campaign(smoke_campaign(), limit=2, resume=str(journal))
+        fresh = run_campaign(smoke_campaign(), limit=2)
+        assert resumed.render() == fresh.render()
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == [SMOKE_HEADER_2_CELLS, SMOKE_CELL_0_LINE]
+        assert [json.loads(line)["index"] for line in lines[1:]] == [0, 1]
 
     def test_journal_pins_the_exact_campaign(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
@@ -191,8 +237,7 @@ class TestJournalResume:
         run_campaign(spec, limit=4, journal=journal)
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "cell", "index": 9')  # crash mid-append
-        header, lines = load_journal(journal)
-        assert set(lines) == set(range(4))
+        assert set(scan_journal(journal).cells) == set(range(4))
         resumed = run_campaign(spec, limit=4, resume=journal)
         assert resumed.render() == run_campaign(spec, limit=4).render()
 
@@ -202,7 +247,7 @@ class TestJournalResume:
         spec = smoke_campaign()
         journal = str(tmp_path / "campaign.jsonl")
         run_campaign(spec, limit=4, journal=journal)
-        _, before = load_journal(journal)
+        before = scan_journal(journal).cells
         runs = []
         body = campaign._run_cell_body
 
@@ -212,7 +257,7 @@ class TestJournalResume:
 
         monkeypatch.setattr(campaign, "_run_cell_body", counting_body)
         resumed = run_campaign(spec, limit=4, resume=journal)
-        _, after = load_journal(journal)
+        after = scan_journal(journal).cells
         assert after == before  # nothing re-run, nothing re-journaled
         assert runs == []
         # The counter is live: a fresh run of the same cells hits it.
@@ -237,43 +282,29 @@ class TestIdempotentAppend:
         with self._journal(tmp_path) as journal:
             assert journal.append_idempotent(key, record)
             assert not journal.append_idempotent(key, record)
-        _, lines = load_journal(tmp_path / "j.jsonl")
-        assert list(lines) == [0]
+        assert list(scan_journal(tmp_path / "j.jsonl").cells) == [0]
 
     def test_append_cell_dedups_redispatches(self, tmp_path):
         with self._journal(tmp_path) as journal:
-            kwargs = dict(
-                outcome="ok",
-                detail="",
-                steps=3,
-                attempts=1,
-                cell_json={"seed": 7},
-            )
-            assert journal.append_cell(0, **kwargs)
+            verdict = _ok(steps=3)
+            assert journal.append_cell(0, verdict, {"seed": 7})
             # Same cell again (a fabric redispatch whose first result
             # was delayed, not lost) — even with different attempt
             # accounting, the durable record must stay single-entry.
             assert not journal.append_cell(
-                0, **{**kwargs, "attempts": 2}
+                0, {**verdict, "attempts": 2}, {"seed": 7}
             )
-            assert journal.append_cell(1, **kwargs)
+            assert journal.append_cell(1, verdict, {"seed": 7})
         raw = (tmp_path / "j.jsonl").read_text().splitlines()
         assert len(raw) == 3  # header + two distinct cells
 
     def test_idempotence_survives_reopen(self, tmp_path):
         from repro.resilience import CampaignJournal
 
-        kwargs = dict(
-            outcome="ok",
-            detail="",
-            steps=1,
-            attempts=1,
-            cell_json={"seed": 7},
-        )
         with self._journal(tmp_path) as journal:
-            journal.append_cell(0, **kwargs)
+            journal.append_cell(0, _ok(), {"seed": 7})
         with CampaignJournal(tmp_path / "j.jsonl").reopen() as journal:
-            assert not journal.append_cell(0, **kwargs)
+            assert not journal.append_cell(0, _ok(), {"seed": 7})
 
     def test_tail_torn_inside_multibyte_char_is_tolerated(self, tmp_path):
         # A crash can cut the final line anywhere — including between
@@ -281,47 +312,24 @@ class TestIdempotentAppend:
         # line, never as a corrupt journal.
         path = tmp_path / "j.jsonl"
         with self._journal(tmp_path) as journal:
-            journal.append_cell(
-                0,
-                outcome="ok",
-                detail="plain",
-                steps=1,
-                attempts=1,
-                cell_json={"seed": 7},
-            )
-            journal.append_cell(
-                1,
-                outcome="ok",
-                detail="ψ-stabilized ✓",
-                steps=1,
-                attempts=1,
-                cell_json={"seed": 8},
-            )
+            journal.append_cell(0, _ok("plain"), {"seed": 7})
+            journal.append_cell(1, _ok("ψ-stabilized ✓"), {"seed": 8})
         data = path.read_bytes()
         psi = "ψ".encode("utf-8")
         cut = data.rindex(psi) + 1  # one byte INTO the 2-byte ψ
         path.write_bytes(data[:cut])
-        header, lines = load_journal(path)
-        assert set(lines) == {0}  # the torn record is simply gone
-        assert header["fingerprint"] == "fp"
+        scan = scan_journal(path)
+        assert set(scan.cells) == {0}  # the torn record is simply gone
+        assert scan.header["fingerprint"] == "fp"
 
     def test_corrupt_middle_record_is_quarantined(self, tmp_path):
         # Bit rot before the tail must not take the journal down: the
         # broken record is quarantined and every healthy record around
         # it still loads.
-        from repro.resilience import scan_journal
-
         path = tmp_path / "j.jsonl"
         with self._journal(tmp_path) as journal:
             for index in (0, 1):
-                journal.append_cell(
-                    index,
-                    outcome="ok",
-                    detail="",
-                    steps=1,
-                    attempts=1,
-                    cell_json={"seed": 7 + index},
-                )
+                journal.append_cell(index, _ok(), {"seed": 7 + index})
         lines = path.read_bytes().splitlines(keepends=True)
         lines.insert(2, b'{"kind": "cell", "ind\xff\n')
         path.write_bytes(b"".join(lines))
@@ -333,18 +341,11 @@ class TestIdempotentAppend:
     def test_crc_mismatch_quarantines_the_record(self, tmp_path):
         # A record that still parses as JSON but fails its CRC (a
         # flipped byte inside a value) is quarantined the same way.
-        from repro.resilience import scan_journal
-
         path = tmp_path / "j.jsonl"
         with self._journal(tmp_path) as journal:
             for index in (0, 1):
                 journal.append_cell(
-                    index,
-                    outcome="ok",
-                    detail="healthy",
-                    steps=1,
-                    attempts=1,
-                    cell_json={"seed": 7 + index},
+                    index, _ok("healthy"), {"seed": 7 + index}
                 )
         lines = path.read_bytes().splitlines(keepends=True)
         assert b'"healthy"' in lines[1]
@@ -357,19 +358,12 @@ class TestIdempotentAppend:
     def test_corrupt_header_still_raises(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with self._journal(tmp_path) as journal:
-            journal.append_cell(
-                0,
-                outcome="ok",
-                detail="",
-                steps=1,
-                attempts=1,
-                cell_json={"seed": 7},
-            )
+            journal.append_cell(0, _ok(), {"seed": 7})
         lines = path.read_bytes().splitlines(keepends=True)
         lines[0] = lines[0][:10] + b"\xff" + lines[0][11:]
         path.write_bytes(b"".join(lines))
         with pytest.raises(ResilienceError, match="header"):
-            load_journal(path)
+            scan_journal(path)
 
     def test_version1_journal_without_crcs_still_loads(self, tmp_path):
         # Pre-checksum journals must stay readable (no crc fields, no
@@ -393,9 +387,9 @@ class TestIdempotentAppend:
         path.write_text(
             "".join(jsonlib.dumps(line) + "\n" for line in lines)
         )
-        header, cells = load_journal(path)
-        assert header["version"] == 1
-        assert set(cells) == {0}
+        scan = scan_journal(path)
+        assert scan.header["version"] == 1
+        assert set(scan.cells) == {0}
 
     def test_crc_is_canonical_under_key_order(self):
         from repro.resilience import record_crc
@@ -415,18 +409,13 @@ class TestIdempotentAppend:
         # reinterpreted.  (CRC32 detects every single-bit error.)
         import random
 
-        from repro.resilience import scan_journal
-
         path = tmp_path / "j.jsonl"
         with self._journal(tmp_path) as journal:
             for index in range(4):
                 journal.append_cell(
                     index,
-                    outcome="ok",
-                    detail=f"ψ-cell-{index}",
-                    steps=index + 1,
-                    attempts=1,
-                    cell_json={"seed": 7 + index},
+                    _ok(f"ψ-cell-{index}", steps=index + 1),
+                    {"seed": 7 + index},
                 )
         pristine = path.read_bytes()
         originals = scan_journal(path).cells

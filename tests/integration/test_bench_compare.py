@@ -43,8 +43,8 @@ class TestCompareRuns:
 
     def test_one_sided_case_renders_dashes(self):
         old = {}
-        new = {"campaign_compiled_seed_sweep": {"cells_per_s": 38.0}}
-        row = _row(compare_runs(old, new), "campaign_compiled_seed_sweep")
+        new = {"campaign_seed_sweep": {"cells_per_s": 38.0}}
+        row = _row(compare_runs(old, new), "campaign_seed_sweep")
         assert "38" in row
         assert "-" in row  # missing old rate and missing delta
         assert "x" not in row
@@ -84,23 +84,23 @@ class TestKernelSpeedupGate:
 
     def test_pair_meeting_minimum_passes(self):
         results = {
-            "campaign_compiled": {"cells_per_s": 8.0},
-            "campaign_smoke": {"cells_per_s": 10.0},
+            "executor_compiled_paxos_inlined": {"steps_per_s": 110.0},
+            "executor_paxos_inlined": {"steps_per_s": 100.0},
         }
         assert kernel_speedup_problems(results) == []
 
-    def test_campaign_pair_gates_at_its_own_threshold(self):
-        # 0.8x clears the campaign pairs' 0.75x floor but must still
-        # trip the paxos-inlined executor pair's 1.05x floor.
+    def test_each_pair_gates_at_its_own_threshold(self):
+        # 1.4x clears the nop_n32 pair's 1.35x floor but must still
+        # trip the rw_n8 pair's 1.95x floor.
         results = {
-            "campaign_compiled_seed_sweep": {"cells_per_s": 8.0},
-            "campaign_seed_sweep": {"cells_per_s": 10.0},
-            "executor_compiled_paxos_inlined": {"steps_per_s": 80.0},
-            "executor_paxos_inlined": {"steps_per_s": 100.0},
+            "executor_compiled_nop_n32": {"steps_per_s": 140.0},
+            "executor_nop_n32": {"steps_per_s": 100.0},
+            "executor_compiled_rw_n8": {"steps_per_s": 140.0},
+            "executor_rw_n8": {"steps_per_s": 100.0},
         }
         problems = kernel_speedup_problems(results)
         assert len(problems) == 1
-        assert "executor_compiled_paxos_inlined" in problems[0]
+        assert "executor_compiled_rw_n8" in problems[0]
 
     def test_pair_without_minimum_entry_is_not_gated(self):
         results = {
