@@ -32,7 +32,8 @@ from ._lazy import lazy_exports
 #: Re-exported names by submodule, each imported on first access;
 #: the ``TYPE_CHECKING`` imports below name the same things.
 _EXPORTS = {
-    ".api": ("solve_task", "solve_task_restricted", "verify_run"),
+    ".analysis.verify": ("verify_run",),
+    ".api": ("solve_task", "solve_task_restricted"),
     ".core": (
         "Environment",
         "FailurePattern",
@@ -44,7 +45,8 @@ _EXPORTS = {
 }
 
 if TYPE_CHECKING:
-    from .api import solve_task, solve_task_restricted, verify_run
+    from .analysis.verify import verify_run
+    from .api import solve_task, solve_task_restricted
     from .core import (
         Environment,
         FailurePattern,

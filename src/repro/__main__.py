@@ -101,9 +101,10 @@ def _strip_option(argv: list[str], name: str) -> list[str]:
 
 
 def _resume_command(
-    argv: list[str], journal_path: str, *, listen: str | None = None
+    argv: list[str], resume_path: str, *, listen: str | None = None
 ) -> str:
-    """Rebuild the exact command that resumes an interrupted campaign:
+    """Rebuild the exact command that resumes an interrupted campaign
+    or ``check`` from ``resume_path`` (its journal or frontier file):
     ``argv`` minus any stale ``--journal``/``--resume``, plus — for
     fabric runs — ``--listen`` pinned to the actually-bound address
     (an ephemeral port 0 would otherwise re-bind somewhere the
@@ -113,7 +114,7 @@ def _resume_command(
     )
     if listen is not None:
         args = _strip_option(args, "--listen") + ["--listen", listen]
-    return "python -m repro " + " ".join([*args, "--resume", journal_path])
+    return "python -m repro " + " ".join([*args, "--resume", resume_path])
 
 
 def _cmd_hierarchy(args: argparse.Namespace) -> int:
@@ -233,17 +234,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"pruned     : {report.deduplicated} dedup, "
         f"{report.por_pruned} por, {report.symmetry_pruned} symmetry"
     )
-    if report.interrupted:
+    conclusion = report.conclusion
+    if conclusion == "interrupted":
         from .resilience import EXIT_RESUMABLE
 
         print("verdict    : INTERRUPTED (deadline or signal)")
         if report.checkpoint_path:
-            resume_args = _strip_option(sys.argv[1:], "--resume")
             print(f"frontier checkpointed to {report.checkpoint_path}")
             print(
-                "resume with: python -m repro "
-                + " ".join(resume_args)
-                + f" --resume {report.checkpoint_path}"
+                "resume with: "
+                + _resume_command(sys.argv[1:], report.checkpoint_path)
             )
         return EXIT_RESUMABLE
     if report.capped:
@@ -251,25 +251,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"capped     : stopped at --max-runs {args.max_runs} with "
             "schedules left unexplored"
         )
-    if report.ok and report.capped:
+    if conclusion == "violated":
+        schedule, _ = report.violations[0]
+        print(
+            f"verdict    : {len(report.violations)} VIOLATION(S); first "
+            f"witness: {[str(pid) for pid in schedule]}"
+        )
+        return 1
+    if conclusion == "capped":
         print("verdict    : CAPPED — no violation found, nothing certified")
         return EXIT_CHECK_CAPPED
-    if report.ok:
-        if report.truncated_runs:
-            print(
-                f"verdict    : OK to depth {args.depth} — "
-                f"{report.truncated_runs} runs truncated: a bounded check, "
-                "not a certificate"
-            )
-        else:
-            print("verdict    : OK — no interleaving leaves the task relation")
-        return 0
-    schedule, _ = report.violations[0]
-    print(
-        f"verdict    : {len(report.violations)} VIOLATION(S); first "
-        f"witness: {[str(pid) for pid in schedule]}"
-    )
-    return 1
+    if conclusion == "bounded":
+        print(
+            f"verdict    : OK to depth {args.depth} — "
+            f"{report.truncated_runs} runs truncated: a bounded check, "
+            "not a certificate"
+        )
+    else:
+        print("verdict    : OK — no interleaving leaves the task relation")
+    return 0
 
 
 def _cmd_check_renaming(args: argparse.Namespace) -> int:

@@ -1,7 +1,8 @@
-"""Dispatch: pick the right paper algorithm for a task and run it.
+"""Dispatch: pick the right paper algorithm for a task.
 
-Backs the top-level :func:`repro.solve_task` / :func:`repro.solve_task_restricted`
-helpers.  The selection encodes the hierarchy:
+:func:`repro.solve_task`, :func:`repro.solve_task_restricted`, ``repro
+check`` and the chaos engine choose their algorithms here.  The
+selection encodes the hierarchy:
 
 * class-1 tasks (or any task attacked with Omega-strength advice) use
   the Proposition 1 universal solver;
@@ -10,9 +11,9 @@ helpers.  The selection encodes the hierarchy:
   ``l - j + 1`` (clamped to ``[1, j]``);
 * (n, j)-WSB uses the class-(j-1) quorum-observation algorithm.
 
-With a detector, the task is solved through the full Theorem 9 double
-simulation (Figure 2 over BG), so the run really exercises the paper's
-machinery rather than a shortcut.
+With a detector, :func:`build_solver_system` assembles the full
+Theorem 9 double simulation (Figure 2 over BG), so a run really
+exercises the paper's machinery rather than a shortcut.
 """
 
 from __future__ import annotations
@@ -20,21 +21,19 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from ..core.failures import FailurePattern
-from ..core.run import RunResult
 from ..core.system import System
 from ..core.task import Task, Vector
 from ..detectors.anti_omega import AntiOmegaK
 from ..detectors.omega import Omega
 from ..detectors.vector_omega import VectorOmegaK
 from ..errors import SpecificationError
-from ..runtime import SeededRandomScheduler, execute
 from ..tasks.renaming import RenamingTask
 from ..tasks.set_agreement import SetAgreementTask
 from .kconcurrent_solver import theorem9_solver
 
-# Each task family's algorithm (and WSB's task class, and the
-# k-concurrency gate) is imported in the branch that uses it: a
-# campaign cell loads only the algorithm its solver runs.
+# Each task family's algorithm (and WSB's task class) is imported in
+# the branch that uses it: a campaign cell loads only the algorithm its
+# solver runs.
 
 
 def task_concurrency_class(task: Task) -> int:
@@ -136,7 +135,7 @@ def build_solver_system(
 ) -> System:
     """Assemble the Theorem 9 double-simulation system for ``task``.
 
-    Shared by :func:`solve_with_detector` and the chaos engine, which
+    Shared by :func:`repro.solve_task` and the chaos engine, which
     runs the same systems under injected faults and explicit schedules.
     """
     k = detector_level(detector)
@@ -163,56 +162,3 @@ def build_solver_system(
         pattern=pattern,
         seed=seed,
     )
-
-
-def solve_with_detector(
-    task: Task,
-    *,
-    detector: Any,
-    inputs: Vector | None = None,
-    pattern: FailurePattern | None = None,
-    scheduler: Any = None,
-    seed: int = 0,
-    max_steps: int = 400_000,
-    trace: bool = False,
-    check: bool = True,
-) -> RunResult:
-    """Solve ``task`` via the Theorem 9 double simulation."""
-    system = build_solver_system(
-        task, detector=detector, inputs=inputs, pattern=pattern, seed=seed
-    )
-    result = execute(
-        system,
-        scheduler or SeededRandomScheduler(seed),
-        max_steps=max_steps,
-        trace=trace,
-    )
-    if check:
-        result.require_all_decided().require_satisfies(task)
-    return result
-
-
-def solve_restricted(
-    task: Task,
-    *,
-    inputs: Vector | None = None,
-    concurrency: int = 1,
-    scheduler: Any = None,
-    seed: int = 0,
-    max_steps: int = 200_000,
-    check: bool = True,
-) -> RunResult:
-    """Solve ``task`` with a restricted algorithm in a
-    ``concurrency``-concurrent run (no detector, null S-processes)."""
-    inputs = default_inputs(task) if inputs is None else tuple(inputs)
-    factories = algorithm_for_task(task, concurrency)
-    system = System(inputs=inputs, c_factories=list(factories))
-    from ..runtime.concurrency import k_concurrent
-
-    gated = k_concurrent(
-        scheduler or SeededRandomScheduler(seed), concurrency
-    )
-    result = execute(system, gated, max_steps=max_steps)
-    if check:
-        result.require_all_decided().require_satisfies(task)
-    return result

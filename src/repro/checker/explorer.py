@@ -100,7 +100,7 @@ from typing import Callable, Sequence
 
 from ..core.process import ProcessId
 from ..core.system import System
-from ..errors import ResilienceError
+from ..errors import ExplorationInterrupted, ResilienceError, SafetyViolation
 from ..resilience import atomic_write_bytes
 from ..runtime.executor import Executor
 from ..runtime.history_trie import ExploringExecutor
@@ -124,8 +124,10 @@ class ExplorationReport:
     requested, ``checkpoint_path`` names the file a ``resume_from`` run
     continues from.  ``capped`` marks a run that stopped at
     ``max_runs`` with nodes left to explore.  ``ok`` only says that no
-    violation was found: a capped or interrupted report certifies
-    nothing about the schedules it did not reach.
+    violation was found; :attr:`conclusion` says what the report
+    certifies, and :meth:`require_certificate` raises unless it is a
+    certificate.  The fields are the layout pickled into checkpoint
+    files.
     """
 
     explored: int = 0
@@ -147,6 +149,71 @@ class ExplorationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def conclusion(self) -> str:
+        """``"interrupted"`` (deadline or signal), ``"violated"`` (some
+        interleaving left the task relation), ``"capped"`` (stopped at
+        ``max_runs``), ``"bounded"`` (no violation, but some run was
+        cut at ``max_depth``) or ``"certified"`` (every run ended
+        within the task relation), the first that holds."""
+        if self.interrupted:
+            return "interrupted"
+        if self.violations:
+            return "violated"
+        if self.capped:
+            return "capped"
+        if self.truncated_runs:
+            return "bounded"
+        return "certified"
+
+    def require_certificate(self) -> "ExplorationReport":
+        """Return the report if it is a certificate.  Otherwise raise
+        :class:`~repro.errors.SafetyViolation` with the first witness
+        schedule of a violation, or
+        :class:`~repro.errors.ExplorationInterrupted` for a report that
+        stopped early (carrying ``checkpoint_path`` when its frontier
+        was saved) or truncated runs: it certifies nothing about the
+        schedules it did not reach."""
+        conclusion = self.conclusion
+        if conclusion == "certified":
+            return self
+        if conclusion == "violated":
+            schedule, _ = self.violations[0]
+            raise SafetyViolation(
+                f"{len(self.violations)} interleaving(s) violate the task "
+                f"relation; first witness schedule: "
+                f"{[str(pid) for pid in schedule]}"
+            )
+        if conclusion == "interrupted":
+            where = (
+                f"; frontier saved to {self.checkpoint_path} "
+                "(pass resume_from=... to continue)"
+                if self.checkpoint_path
+                else ""
+            )
+            message = (
+                f"exhaustive verification stopped after {self.explored} "
+                f"nodes{where}"
+            )
+        elif conclusion == "capped":
+            # The cap is checked before every node, so a capped run
+            # stops with exactly ``max_runs`` runs counted.
+            message = (
+                "exhaustive verification stopped at max_runs="
+                f"{self.completed_runs + self.truncated_runs} after "
+                f"{self.explored} nodes; a certificate needs every run "
+                "(raise max_runs)"
+            )
+        else:
+            message = (
+                f"{self.truncated_runs} runs truncated at the depth bound "
+                f"after {self.explored} nodes: a bounded check, not a "
+                "certificate (raise max_depth)"
+            )
+        raise ExplorationInterrupted(
+            message, checkpoint_path=self.checkpoint_path
+        )
 
 
 class ScheduleExplorer:

@@ -10,7 +10,6 @@ _EXPORTS = {
     ".concurrency_level": (
         "Evidence",
         "TaskClassification",
-        "certify_k_concurrent_exhaustively",
         "explore_k_concurrent",
         "classify_task",
         "validate_k_concurrent",
@@ -32,7 +31,6 @@ if TYPE_CHECKING:
     from .concurrency_level import (
         Evidence,
         TaskClassification,
-        certify_k_concurrent_exhaustively,
         explore_k_concurrent,
         classify_task,
         validate_k_concurrent,
@@ -54,7 +52,6 @@ else:
 __all__ = [
     "Evidence",
     "TaskClassification",
-    "certify_k_concurrent_exhaustively",
     "explore_k_concurrent",
     "classify_task",
     "validate_k_concurrent",

@@ -7,8 +7,9 @@ classifies concrete tasks by combining three kinds of evidence:
 
 * **validated-runs** — a provided restricted algorithm survives a sweep
   of k-concurrent executions (schedules x seeds x arrival orders x
-  input vectors), optionally hardened into an *exhaustive* certificate
-  over all gated interleavings on a small instance;
+  input vectors); :func:`explore_k_concurrent` hardens it into an
+  exhaustive certificate over all gated interleavings of a small
+  instance;
 * **topology-certificate** — for (<= 2)-participant tasks, the exact
   decision of :mod:`repro.topology.solvability` (not 2-concurrently
   solvable => class exactly 1, by Proposition 1);
@@ -39,8 +40,8 @@ from ..topology.solvability import decide_two_process_solvability
 class Evidence:
     """One piece of classification evidence."""
 
-    kind: str  # validated-runs | exhaustive | topology-certificate |
-    #            literature | proposition-1 | open
+    kind: str  # validated-runs | proposition-1 | maximum |
+    #            topology-certificate | literature | open
     detail: str
 
 
@@ -125,8 +126,8 @@ def explore_k_concurrent(
     (``deadline_s`` / ``checkpoint_path`` / ``resume_from`` /
     ``handle_signals``) for deep explorations that must survive
     wall-clock budgets and signals.  Returns the full exploration
-    report (check ``interrupted`` and ``capped`` before trusting
-    ``ok``)."""
+    report: it is a certificate when its ``conclusion`` is
+    ``"certified"``, and ``require_certificate()`` raises otherwise."""
 
     def build() -> System:
         return System(inputs=inputs, c_factories=list(factories))
@@ -152,27 +153,6 @@ def explore_k_concurrent(
         resume_from=resume_from,
         handle_signals=handle_signals,
     )
-
-
-def certify_k_concurrent_exhaustively(
-    task: Task,
-    factories: Sequence[Callable],
-    k: int,
-    inputs: Vector,
-    *,
-    max_depth: int = 14,
-    **explorer_knobs,
-) -> bool:
-    """Exhaustive certificate on one small instance: every k-concurrent
-    interleaving up to ``max_depth`` stays within the task relation.
-    Extra keyword knobs are forwarded to :func:`explore_k_concurrent`
-    (e.g. ``por=True`` to certify with partial-order reduction).  An
-    exploration stopped by ``max_runs`` or a deadline certifies nothing,
-    so it returns false."""
-    report = explore_k_concurrent(
-        task, factories, k, inputs, max_depth=max_depth, **explorer_knobs
-    )
-    return report.ok and not (report.capped or report.interrupted)
 
 
 def classify_task(

@@ -54,9 +54,6 @@ class ProcessId:
     kind: ProcessKind
     index: int
 
-    def _sort_key(self) -> tuple[str, int]:
-        return self._key
-
     def __lt__(self, other: "ProcessId") -> bool:
         return self._key < other._key
 

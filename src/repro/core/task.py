@@ -278,10 +278,6 @@ class EnumeratedTask(Task):
     def input_vectors(self) -> Iterator[Vector]:
         return iter(sorted(self._delta, key=_vector_key))
 
-    def outputs_for(self, inputs: Vector) -> frozenset[Vector]:
-        """All allowed output vectors (including prefixes) for an input."""
-        return self._delta[tuple(inputs)]
-
 
 def _vector_key(vec: Vector) -> tuple:
     return tuple((v is None, v if v is not None else 0) for v in vec)

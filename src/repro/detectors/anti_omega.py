@@ -45,12 +45,6 @@ class AntiOmegaK(FailureDetector):
         self.safe = safe
         self.name = f"anti-Omega-{k}"
 
-    def _set_excluding(
-        self, excluded: int, rng: random.Random
-    ) -> frozenset[int]:
-        pool = [i for i in range(self.n) if i != excluded]
-        return frozenset(rng.sample(pool, self.n - self.k))
-
     def build_history(
         self, pattern: FailurePattern, rng: random.Random
     ) -> History:

@@ -89,8 +89,10 @@ class CampaignInterrupted(ReproError):
 
 
 class ExplorationInterrupted(ReproError):
-    """An exhaustive exploration hit its deadline or was signalled; its
-    frontier was checkpointed to disk for exact resumption."""
+    """An exhaustive exploration stopped short of a certificate: at its
+    deadline or on a signal (``checkpoint_path`` names the frontier
+    file it saved for exact resumption, if any), at ``max_runs``, or
+    with runs truncated at its depth bound."""
 
     def __init__(
         self, message: str, *, checkpoint_path: str | None = None

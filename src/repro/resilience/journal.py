@@ -313,9 +313,8 @@ class CampaignJournal:
     idempotent: every grant/expiry/bench is a distinct point in time,
     and recovery replays them in order."""
 
-    def __init__(self, path: str | Path, *, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self._handle = None
         self._seen: set[str] = set()
 
@@ -359,8 +358,7 @@ class CampaignJournal:
             + "\n"
         )
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def append_idempotent(
         self, fingerprint: str, record: Mapping[str, Any]

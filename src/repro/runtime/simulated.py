@@ -108,11 +108,6 @@ class SimulatedWorld:
     def participates(self, pid: ProcessId) -> bool:
         return not pid.is_computation or self.inputs[pid.index] is not None
 
-    def pending_op(self, pid: ProcessId) -> Any:
-        """The operation ``pid`` would perform at its next step (``None``
-        before a C-process's input-writing first step)."""
-        return self._pending.get(pid)
-
     @property
     def decided(self) -> frozenset[int]:
         return frozenset(self.decisions)

@@ -41,27 +41,6 @@ class Trace:
         if self.enabled:
             self.events.append(event)
 
-    def steps_of(self, pid: ProcessId) -> list[TraceEvent]:
-        return [e for e in self.events if e.pid == pid]
-
-    def writes_to(self, register: str) -> list[TraceEvent]:
-        """Events that wrote ``register`` (plain writes and successful
-        compare-and-swaps), in trace order."""
-        from . import ops
-
-        out = []
-        for event in self.events:
-            if isinstance(event.op, ops.Write) and (
-                event.op.register == register
-            ):
-                out.append(event)
-            elif isinstance(event.op, ops.CompareAndSwap) and (
-                event.op.register == register
-                and event.result == event.op.expected
-            ):
-                out.append(event)
-        return out
-
     def participating_c(self) -> frozenset[int]:
         """Indices of C-processes that *participated* in the traced run.
 

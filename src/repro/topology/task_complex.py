@@ -44,12 +44,6 @@ def _solo_vector(n: int, p: int, value: Any) -> Vector:
     return tuple(value if i == p else None for i in range(n))
 
 
-def _pair_vector(n: int, p: int, u: Any, q: int, v: Any) -> Vector:
-    return tuple(
-        u if i == p else v if i == q else None for i in range(n)
-    )
-
-
 def output_graph(task: Task, inputs: Vector, output_values: Iterable) -> Complex:
     """The allowed-output graph ``H_I`` of a two-participant input."""
     present = sorted(participants(inputs))

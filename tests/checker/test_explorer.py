@@ -1,30 +1,28 @@
 """Tests for the exhaustive schedule explorer and valency analysis."""
 
+import dataclasses
 import itertools
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from repro import api
 from repro.__main__ import EXIT_CHECK_CAPPED, main
 from repro.algorithms.kset_concurrent import kset_concurrent_factories
 from repro.algorithms.one_concurrent import one_concurrent_factories
 from repro.algorithms.renaming_figure4 import figure4_factories
 from repro.checker import explorer as explorer_module
 from repro.checker import (
+    ExplorationReport,
     ScheduleExplorer,
     analyze_valency,
     concurrency_gate,
     drop_null_s_processes,
     task_safety_verdict,
 )
-from repro.classify import (
-    certify_k_concurrent_exhaustively,
-    explore_k_concurrent,
-)
+from repro.classify import explore_k_concurrent
 from repro.core import System
-from repro.errors import ExplorationInterrupted
+from repro.errors import ExplorationInterrupted, SafetyViolation
 from repro.tasks import ConsensusTask, RenamingTask, SetAgreementTask
 
 
@@ -125,58 +123,130 @@ class TestCertificateCap:
             max_depth=20,
         )
         assert full.ok and not full.capped and full.truncated_runs == 0
+        assert full.conclusion == "certified"
+        assert full.require_certificate() is full
 
-    def test_certify_refuses_capped_and_interrupted_reports(self):
-        assert not certify_k_concurrent_exhaustively(
+    def test_capped_and_interrupted_reports_are_not_certificates(
+        self, tmp_path
+    ):
+        capped = explore_k_concurrent(
             *CERTIFICATE, max_runs=3, **CERTIFICATE_KNOBS
         )
-        assert not certify_k_concurrent_exhaustively(
-            *CERTIFICATE, deadline_s=0.0, **CERTIFICATE_KNOBS
+        assert capped.conclusion == "capped"
+        path = str(tmp_path / "cert.ckpt")
+        interrupted = explore_k_concurrent(
+            *CERTIFICATE, deadline_s=0.0, checkpoint_path=path,
+            **CERTIFICATE_KNOBS,
         )
+        assert interrupted.conclusion == "interrupted"
+        with pytest.raises(
+            ExplorationInterrupted, match="frontier saved to"
+        ) as raised:
+            interrupted.require_certificate()
+        assert raised.value.checkpoint_path == path
 
-    def test_verify_run_refuses_a_capped_exploration(self):
-        task, factories, k, inputs = CERTIFICATE
-        result = api.solve_task_restricted(
-            task, inputs=inputs, concurrency=k
+    def test_require_certificate_refuses_a_capped_exploration(self):
+        report = explore_k_concurrent(
+            *CERTIFICATE, max_runs=3, **CERTIFICATE_KNOBS
         )
         with pytest.raises(ExplorationInterrupted, match="max_runs=3"):
-            api.verify_run(
-                result,
-                task,
-                exhaustive=True,
-                factories=factories,
-                concurrency=k,
-                max_runs=3,
-                **CERTIFICATE_KNOBS,
-            )
+            report.require_certificate()
+
+    def test_a_truncated_tree_is_a_bounded_check(self):
+        # perfbench's ``explore`` exploration: no run ends by depth 14.
+        report = explore_k_concurrent(
+            *CERTIFICATE, max_depth=14, por=True, dedup=True
+        )
+        assert (report.explored, report.completed_runs) == (18586, 0)
+        assert report.truncated_runs == 9412
+        assert report.ok and not (report.capped or report.interrupted)
+        assert report.conclusion == "bounded"
+        with pytest.raises(
+            ExplorationInterrupted, match="9412 runs truncated"
+        ) as raised:
+            report.require_certificate()
+        assert raised.value.checkpoint_path is None
+
+    def test_a_violation_outranks_the_cap(self):
+        # 2-set agreement's algorithm outside its class: the cap stops
+        # the tree, but the violations found before it are a verdict.
+        report = explore_k_concurrent(
+            SetAgreementTask(3, 2),
+            kset_concurrent_factories(3, 2),
+            3,
+            (0, 1, 2),
+            max_depth=13,
+            max_runs=500,
+        )
+        assert report.capped and len(report.violations) == 180
+        assert report.conclusion == "violated"
+        witness = [str(pid) for pid in report.violations[0][0]]
+        with pytest.raises(SafetyViolation, match="180 interleaving") as raised:
+            report.require_certificate()
+        assert str(witness) in str(raised.value)
+
+    def test_report_fields_are_the_checkpoint_layout(self):
+        # Checkpoint files pickle the report, so a frontier file written
+        # by one tree resumes on another only if both have these fields.
+        assert [f.name for f in dataclasses.fields(ExplorationReport)] == [
+            "explored",
+            "completed_runs",
+            "truncated_runs",
+            "deduplicated",
+            "por_pruned",
+            "symmetry_pruned",
+            "violations",
+            "interrupted",
+            "checkpoint_path",
+            "capped",
+            "resumed_explored",
+        ]
 
     @pytest.mark.parametrize(
-        ("depth", "runs", "verdict"),
+        ("depth", "extra", "runs", "verdict", "code"),
         [
             (
                 5,
+                (),
                 "0 completed, 9 truncated",
                 "verdict    : OK to depth 5 — 9 runs truncated: a bounded "
                 "check, not a certificate",
+                0,
             ),
             (
                 40,
+                (),
                 "19 completed, 0 truncated",
                 "verdict    : OK — no interleaving leaves the task relation",
+                0,
+            ),
+            (
+                40,
+                ("--deadline-s", "0"),
+                "0 completed, 0 truncated",
+                "verdict    : INTERRUPTED (deadline or signal)",
+                75,
+            ),
+            (
+                40,
+                ("--max-runs", "3"),
+                "3 completed, 0 truncated",
+                "verdict    : CAPPED — no violation found, nothing certified",
+                EXIT_CHECK_CAPPED,
             ),
         ],
     )
     def test_check_command_certifies_only_a_complete_tree(
-        self, capsys, depth, runs, verdict
+        self, capsys, depth, extra, runs, verdict, code
     ):
-        code = main(
+        exit_code = main(
             [
                 "check", "renaming", "--n", "3", "--k", "2", "--depth",
-                str(depth), "--por", "--dedup",
+                str(depth), "--por", "--dedup", *extra,
             ]
         )
         out = capsys.readouterr().out
-        assert code == 0
+        assert exit_code == code
         assert f"runs       : {runs}\n" in out
         assert f"{verdict}\n" in out
 

@@ -5,12 +5,12 @@ import pytest
 from repro.algorithms.kset_concurrent import kset_concurrent_factories
 from repro.classify import (
     build_hierarchy,
-    certify_k_concurrent_exhaustively,
     classify_consensus,
     classify_loose_renaming,
     classify_set_agreement,
     classify_strong_renaming,
     classify_wsb,
+    explore_k_concurrent,
     format_hierarchy,
     validate_k_concurrent,
 )
@@ -101,9 +101,11 @@ class TestValidationPrimitives:
     def test_exhaustive_certificate(self):
         task = SetAgreementTask(3, 2)
         factories = kset_concurrent_factories(3, 2)
-        assert certify_k_concurrent_exhaustively(
+        report = explore_k_concurrent(
             task, factories, 2, (0, 1, 2), max_depth=13
         )
-        assert not certify_k_concurrent_exhaustively(
+        assert report.conclusion == "certified"
+        assert report.truncated_runs == 0
+        assert explore_k_concurrent(
             task, factories, 3, (0, 1, 2), max_depth=13
-        )
+        ).conclusion != "certified"

@@ -1,4 +1,4 @@
-"""Tests for the top-level solve_task / solve_task_restricted API."""
+"""Tests for the top-level solve_task / solve_task_restricted / verify_run API."""
 
 import pytest
 
@@ -84,3 +84,11 @@ class TestSolveRestricted:
         assert len(set(names)) == len(names)
         with pytest.raises(SpecificationError):
             solve_task_restricted(task, concurrency=3)
+
+
+class TestOneFunctionPerQuestion:
+    def test_verify_run_is_the_analysis_verifier(self):
+        import repro
+        import repro.analysis
+
+        assert repro.verify_run is repro.analysis.verify_run
