@@ -100,7 +100,7 @@ spec = CampaignSpec(
 )
 cell = next(iter(spec.cells()))
 mark("cell")
-verdict = _run_cell_guarded((cell, False, "interp"))
+verdict = _run_cell_guarded((cell, False, "interp", None, False))
 print(json.dumps({"ok": verdict["outcome"] == "ok"}))
 """
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..analysis.verify import verify_run
+from ..core.history import QueryLog, answers_agree
 from ..core.run import RunResult
 from ..errors import (
     CampaignInterrupted,
@@ -98,6 +99,15 @@ KERNELS = ("interp", "compiled")
 
 #: Extra times past stabilization over which histories are validated.
 HISTORY_VALIDATION_SLACK = 16
+
+#: The verdict key under which a campaign job returns its run's
+#: :class:`~repro.core.history.QueryLog` for its later siblings;
+#: :meth:`CellRecord.from_verdict` ignores it, so journals never hold it.
+QUERIES = "queries"
+
+#: Characters of query logs one family's jobs, or one result, carry at
+#: most, so that fabric frames stay far below the transport's bound.
+FAMILY_LOG_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -423,16 +433,32 @@ def _run_cell_body(
     strict_traces: bool,
     kernel: str,
     trace: bool,
-) -> tuple[CellRecord, RunResult | None]:
+    seen: Sequence[Sequence[Any]] = (),
+    log: bool = False,
+) -> tuple[CellRecord, RunResult | None, str | None]:
     """The one cell body behind :func:`run_cell` and the campaign job
     function :func:`_run_cell_guarded`: build, validate the history,
-    run, classify.  Returns the verdict-only record and the run's
-    result (``None`` when history validation stopped the cell)."""
+    run, classify.
+
+    ``seen`` holds ``(query log, outcome, detail, steps)`` of finished
+    runs of the cell's family siblings.  After validation, the cell
+    takes the verdict of the first sibling whose logged queries its own
+    history answers alike, since its run would be that sibling's run
+    step for step.  With ``log`` the run logs its queries.  Returns the
+    verdict-only record, the run's result (``None`` when no run
+    happened) and the encoded query log (``None`` unless logged, or
+    when longer than :data:`FAMILY_LOG_CHARS`)."""
     if kernel not in KERNELS:
         raise ResilienceError(f"unknown kernel: {kernel!r}")
     task, system, invalid = _prepare_cell(cell)
     if invalid is not None:
-        return invalid, None
+        return invalid, None, None
+    for queries, outcome, detail, steps in seen:
+        if answers_agree(system.history, queries):
+            record = CellRecord(cell, outcome, detail=detail, steps=steps)
+            return record, None, None
+    if log:
+        system.history = queried = QueryLog(system.history)
     if kernel == "compiled":
         from ..kernel import execute_compiled as _execute
 
@@ -449,7 +475,7 @@ def _run_cell_body(
     record = _classify_record(
         cell, task, result, strict_traces=strict_traces
     )
-    return record, result
+    return record, result, queried.encode(FAMILY_LOG_CHARS) if log else None
 
 
 def run_cell(
@@ -464,7 +490,8 @@ def run_cell(
     The single-cell diagnostic API (shrink, bundle, replay): the run is
     always traced and its :class:`RunResult` is attached as
     ``record.result``.  Campaigns run the same cell body but keep only
-    the verdict.
+    the verdict, and may take a family sibling's verdict instead of
+    running; ``run_cell`` always runs its cell.
 
     ``scheduler`` overrides the cell's declared scheduler (the shrinker
     uses this to substitute recording and explicit schedulers).
@@ -473,7 +500,7 @@ def run_cell(
     per-automaton to the interpreter and produces byte-identical
     records.
     """
-    record, result = _run_cell_body(
+    record, result, _ = _run_cell_body(
         cell,
         scheduler=scheduler,
         strict_traces=strict_traces,
@@ -484,52 +511,74 @@ def run_cell(
     return record
 
 
-def _run_cell_guarded(job: tuple[CellSpec, bool, str]) -> dict[str, Any]:
+def _run_cell_guarded(
+    job: tuple[CellSpec, bool, str, list | None, bool],
+) -> dict[str, Any]:
     """The campaign job function — module-level, so picklable — shared
     by serial in-process runs, :class:`~repro.resilience.SupervisedPool`
     workers, and fabric workers.  ``job`` is ``(cell, strict_traces,
-    kernel)``.
+    kernel, seen, log)``: ``seen`` is what the cell's finished family
+    siblings observed (see :func:`_run_cell_body`; ``None`` for a cell
+    with no sibling), and ``log`` is true when a later sibling may take
+    this cell's verdict.
 
     The cell runs traced only when ``strict_traces`` makes
     classification read the trace, and the job returns the cell's
-    :meth:`CellRecord.verdict`: a worker sends back neither the run
-    nor the cell spec.  A raising cell degrades to an ``"error"``
-    verdict instead of aborting the sweep.
+    :meth:`CellRecord.verdict`, plus the run's query log under
+    :data:`QUERIES` when it logged one: a worker sends back neither
+    the run nor the cell spec.  A cell that matches a sibling's log
+    returns that sibling's outcome, detail and steps without running.
+    A raising cell degrades to an ``"error"`` verdict instead of
+    aborting the sweep.
     """
-    cell, strict_traces, kernel = job
+    cell, strict_traces, kernel, seen, log = job
+    queries = None
     try:
-        record, _ = _run_cell_body(
+        record, _, queries = _run_cell_body(
             cell,
             scheduler=None,
             strict_traces=strict_traces,
             kernel=kernel,
             trace=strict_traces,
+            seen=seen or (),
+            log=log,
         )
     except Exception as exc:  # noqa: BLE001 - triage, don't abort
         record = CellRecord(
             cell, OUTCOME_ERROR, detail=f"{type(exc).__name__}: {exc}"
         )
-    return record.verdict()
+    verdict = record.verdict()
+    if queries is not None:
+        verdict[QUERIES] = queries
+    return verdict
 
 
-def _record_from_job(cell: CellSpec, job: JobResult) -> CellRecord:
+def _family_key(cell: CellSpec) -> str:
+    """Cells with one key differ at most in ``detector
+    ["stabilization_time"]``: a stabilization family."""
+    data = cell.to_json()
+    data["detector"].pop("stabilization_time", None)
+    return repr(data)
+
+
+def _verdict_from_job(job: JobResult) -> dict[str, Any]:
     """Map a supervised :class:`~repro.resilience.JobResult` onto a
-    :class:`CellRecord` (quarantined jobs become triaged outcomes)."""
+    verdict mapping (quarantined jobs become triaged outcomes)."""
     if job.ok:
-        record = CellRecord.from_verdict(cell, job.value)
-        record.attempts = job.attempts
-        return record
+        return {**job.value, "attempts": job.attempts}
     if job.kind == "task_error":
-        return CellRecord(
-            cell, OUTCOME_ERROR, detail=job.detail, attempts=job.attempts
-        )
+        return {
+            "outcome": OUTCOME_ERROR,
+            "detail": job.detail,
+            "attempts": job.attempts,
+        }
     detail = job.detail
     if job.failures:
         detail = "; ".join(
             f"attempt {i + 1}: {failure.kind}"
             for i, failure in enumerate(job.failures)
         ) + f" — {job.detail}"
-    return CellRecord(cell, job.kind, detail=detail, attempts=job.attempts)
+    return {"outcome": job.kind, "detail": detail, "attempts": job.attempts}
 
 
 def run_campaign(
@@ -586,6 +635,20 @@ def run_campaign(
     included, and the journal's cell lines are byte-identical whichever
     route ran, retried or resumed the cells.
 
+    Each distinct run runs once.  Cells whose specs differ only in
+    ``detector["stabilization_time"]`` form a stabilization family:
+    they build the same automata, inputs, pattern, scheduler and
+    detector seed, and a run learns the history only through its
+    queries.  A member that has a later sibling logs every query its
+    run makes, and a later member whose own (validated) history
+    answers all of a finished sibling's logged queries alike takes
+    that sibling's outcome, detail and steps without running (see
+    :func:`_run_cell_body`).  The logs travel in the jobs and verdicts
+    of every route but never in the journal, so a resume runs the
+    members it still needs.  The pool and the fabric dispatch every
+    family's first member before any second member; inproc keeps cell
+    order.
+
     ``budget`` arms per-cell wall-clock/RSS watchdogs inside the pool
     workers; ``inject_worker_kill`` is the fault drill that SIGKILLs the
     worker running that cell index on its first attempt.  Only pool
@@ -619,7 +682,7 @@ def run_campaign(
     functions with per-automaton interpreter fallback, proven
     byte-identical by the kernel differential harness).  It travels in
     each job; the fabric refuses ``"compiled"``, because its workers
-    negotiate only cell JSON.
+    run the interpreter.
     """
     route = backend
     if backend == "auto":
@@ -711,28 +774,66 @@ def run_campaign(
                     on_cell(records[emitted])
                 emitted += 1
 
-        def record(index: int, cell_record: CellRecord) -> None:
-            """The one sink of every route: keep, journal, emit."""
-            records[index] = cell_record
+        # Stabilization families among the cells still to run: every
+        # member but the last logs its queries for its later siblings.
+        # The pool and the fabric dispatch every family's first member
+        # before any family's second member; inproc keeps cell order.
+        families: dict[str, list[int]] = {}
+        for index in range(len(cells)):
+            if index not in records:
+                key = _family_key(cells[index])
+                families.setdefault(key, []).append(index)
+        jobs: dict[int, tuple] = {}
+        order: list[tuple[int, int]] = []
+        for members in families.values():
+            seen = [] if len(members) > 1 else None
+            for rank, index in enumerate(members):
+                logs = index != members[-1]
+                jobs[index] = (
+                    cells[index], spec.strict_traces, kernel, seen, logs
+                )
+                order.append((0 if route == "inproc" else rank, index))
+        remaining = [(index, jobs[index]) for _, index in sorted(order)]
+
+        def record(index: int, verdict: Mapping[str, Any]) -> None:
+            """The one sink of every route: keep, journal, emit.  A
+            logged run's queries go to its later siblings' jobs."""
+            cell_record = records[index] = CellRecord.from_verdict(
+                cells[index], verdict
+            )
+            queries = verdict.get(QUERIES)
+            seen = jobs[index][3]
+            if queries is not None and seen is not None:
+                logged = sum(len(entry[0]) for entry in seen)
+                if logged + len(queries) <= FAMILY_LOG_CHARS:
+                    seen.append(
+                        (
+                            queries,
+                            cell_record.outcome,
+                            cell_record.detail,
+                            cell_record.steps,
+                        )
+                    )
             if journal_writer is not None:
                 journal_writer.append_cell(
                     index, cell_record.verdict(), cell_record.cell.to_json()
                 )
             emit_ready()
 
-        remaining = [
-            (index, (cells[index], spec.strict_traces, kernel))
-            for index in range(len(cells))
-            if index not in records
-        ]
         try:
             emit_ready()  # journal-replayed prefix first, in order
             if coordinator is not None:
+                leases = []
+                for index, (cell, _, _, seen, log) in remaining:
+                    payload = cell.to_json()
+                    if seen is not None:
+                        # The live list: each lease frame encodes what
+                        # the siblings had logged when it is sent.
+                        payload.update(seen=seen, log=log)
+                    leases.append((index, payload))
                 leftover = coordinator.run(
-                    [(i, cells[i].to_json()) for i, _ in remaining],
-                    lambda index, verdict: record(
-                        index, CellRecord.from_verdict(cells[index], verdict)
-                    ),
+                    leases,
+                    record,
                     campaign=spec.name,
                     fingerprint=fingerprint,
                     strict_traces=spec.strict_traces,
@@ -742,12 +843,7 @@ def run_campaign(
                 remaining = [job for job in remaining if job[0] in leftover]
             if route == "inproc":
                 for index, job in remaining:
-                    record(
-                        index,
-                        CellRecord.from_verdict(
-                            cells[index], _run_cell_guarded(job)
-                        ),
-                    )
+                    record(index, _run_cell_guarded(job))
             elif remaining:
                 SupervisedPool(
                     _run_cell_guarded,
@@ -758,7 +854,7 @@ def run_campaign(
                 ).run(
                     remaining,
                     on_result=lambda job: record(
-                        job.index, _record_from_job(cells[job.index], job)
+                        job.index, _verdict_from_job(job)
                     ),
                 )
         except KeyboardInterrupt:

@@ -222,7 +222,7 @@ class _WorkerConn:
 @dataclass
 class _CellState:
     index: int
-    payload: Mapping[str, Any]  # CellSpec JSON
+    payload: Mapping[str, Any]  # the lease's cell payload
     dispatches: int = 0
 
 
@@ -374,9 +374,18 @@ class FabricCoordinator:
         journal: CampaignJournal | None = None,
         recovered: ControlPlaneState | None = None,
     ) -> set[int]:
-        """Drive ``jobs`` (``(index, cell-spec JSON)`` pairs) to
+        """Drive ``jobs`` (``(index, cell payload)`` pairs) to
         completion; ``record_result`` fires once per index with the
         worker's result message (idempotent dedup is done here).
+
+        A cell payload is what the lease frame carries under
+        ``"cell"``: the cell spec's JSON, plus, for a member of a
+        stabilization family, its siblings' query logs under
+        ``"seen"`` and whether to log its own under ``"log"`` (see
+        :func:`~repro.chaos.campaign.run_campaign`).  A payload is
+        encoded when its lease is sent, so a list it holds carries
+        whatever the caller had appended to it by then; jobs are
+        leased in the order given.
 
         When ``journal`` is given, lease grants/expiries and bench
         decisions are appended to it as control-plane events, making

@@ -268,11 +268,21 @@ def _execute_cell(
 ) -> dict[str, Any]:
     """Run one cell to a result message: the campaign job's verdict
     (imports deferred so the resilience layer keeps no import-time
-    dependency on the chaos engine)."""
+    dependency on the chaos engine).  A lease of a stabilization
+    family member carries its siblings' query logs under ``"seen"``
+    and whether to log its own queries under ``"log"``; the result
+    then carries the cell's own log (see
+    :func:`~repro.chaos.campaign._run_cell_guarded`)."""
     from ..chaos.campaign import CellSpec, _run_cell_guarded
 
     verdict = _run_cell_guarded(
-        (CellSpec.from_json(cell_json), strict_traces, "interp")
+        (
+            CellSpec.from_json(cell_json),
+            strict_traces,
+            "interp",
+            cell_json.get("seen"),
+            bool(cell_json.get("log")),
+        )
     )
     return {"type": "result", "index": -1, **verdict}  # caller sets index
 

@@ -6,7 +6,14 @@ cells the compiled kernel compiles, render identically and journal
 identical cell lines; and a journal cut after its first 3 cell lines
 resumes on every backend to the same report and the same cell lines.
 Every compiled route, resumed ones included, builds a ``CompiledRun``
-for each compiling cell it runs."""
+for each compiling cell it runs.
+
+A stabilization-swept leg runs the 20 storm-shaped cells, ten families
+of two, on every backend: each route executes exactly 14 runs (every
+family's first member dispatches before any second member, and six
+second members take their sibling's verdict) and matches the serial
+report and cell lines, and a resume from three journaled cells runs
+only what its journal and its families leave."""
 
 import itertools
 import json
@@ -18,6 +25,7 @@ from repro.chaos import run_campaign
 from repro.resilience import FabricConfig, FabricCoordinator, run_worker
 
 from ..kernel.compiled_cells import count_compiled_runs, mixed_campaign
+from .family_cells import count_runs, storm_runs_after_resume, storm_shaped
 
 CELLS = 8
 BACKENDS = ("inproc", "pool", "fabric")
@@ -37,10 +45,12 @@ def _route_id(route):
     return f"{backend}-{kernel}-{'strict' if strict else 'plain'}"
 
 
-def _run(backend, kernel, strict, **journaling):
-    """Run a route; the two compiling cells come last, so no pool
-    delivers them among its first three cells."""
-    spec = mixed_campaign(CELLS - 2, strict_traces=strict)
+def _run(backend, kernel, strict, spec=None, **journaling):
+    """Run a route over ``spec``, by default the mixed campaign, whose
+    two compiling cells come last, so no pool delivers them among its
+    first three cells."""
+    if spec is None:
+        spec = mixed_campaign(CELLS - 2, strict_traces=strict)
     if backend != "fabric":
         workers = 2 if backend == "pool" else 1
         return run_campaign(
@@ -135,6 +145,69 @@ def test_resume_from_three_journaled_cells(route, tmp_path, backend):
         resumed = _run(backend, kernel, False, resume=str(cut))
     assert built() == (2 if kernel == "compiled" else 0)
     reference_render, reference_journal, _ = route(*ROUTES[0])
+    assert resumed.render() == reference_render
+    assert _cell_lines(cut.read_text(encoding="utf-8")) == _cell_lines(
+        reference_journal
+    )
+
+
+@pytest.fixture(scope="module")
+def storm_route(tmp_path_factory):
+    """Run the storm-shaped campaign on a backend once per module:
+    ``(render, journal text, runs executed)``."""
+    done = {}
+
+    def run(backend):
+        if backend not in done:
+            directory = tmp_path_factory.mktemp("storm")
+            journal = directory / "cells.jsonl"
+            with count_runs(directory) as executed:
+                report = _run(
+                    backend,
+                    "interp",
+                    False,
+                    storm_shaped(0),
+                    journal=str(journal),
+                )
+            done[backend] = (
+                report.render(),
+                journal.read_text(encoding="utf-8"),
+                executed(),
+            )
+        return done[backend]
+
+    return run
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_stabilization_families_run_once_on_every_route(
+    storm_route, backend
+):
+    render, journal, executed = storm_route(backend)
+    reference_render, reference_journal, _ = storm_route("inproc")
+    assert executed == 14
+    assert render == reference_render
+    assert _cell_lines(journal) == _cell_lines(reference_journal)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_stabilization_resume_runs_what_the_journal_leaves(
+    storm_route, tmp_path, backend
+):
+    _, journal, _ = storm_route(backend)
+    header, *lines = journal.splitlines()
+    first_three = [
+        line for line in lines if json.loads(line)["kind"] == "cell"
+    ][:3]
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("\n".join([header, *first_three]) + "\n", encoding="utf-8")
+    with count_runs(tmp_path) as executed:
+        resumed = _run(
+            backend, "interp", False, storm_shaped(0), resume=str(cut)
+        )
+    journaled = {json.loads(line)["index"] for line in first_three}
+    assert executed() == storm_runs_after_resume(journaled)
+    reference_render, reference_journal, _ = storm_route("inproc")
     assert resumed.render() == reference_render
     assert _cell_lines(cut.read_text(encoding="utf-8")) == _cell_lines(
         reference_journal

@@ -92,7 +92,7 @@ spec = CampaignSpec(
     stabilization_times=(12,),
     max_steps=150_000,
 )
-verdict = _run_cell_guarded((next(iter(spec.cells())), False, "interp"))
+verdict = _run_cell_guarded((next(iter(spec.cells())), False, "interp", None, False))
 assert verdict["outcome"] == "ok", verdict
 assert "repro.algorithms.one_concurrent" in sys.modules
 UNNEEDED = (

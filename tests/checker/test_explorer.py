@@ -250,6 +250,28 @@ class TestCertificateCap:
         assert f"runs       : {runs}\n" in out
         assert f"{verdict}\n" in out
 
+    def test_check_command_reports_a_violation(self, capsys, monkeypatch):
+        # The one-concurrent consensus solver run 2-concurrently: the
+        # explorer finds a disagreeing interleaving and `check` exits 1.
+        monkeypatch.setattr(
+            "repro.algorithms.dispatch.algorithm_for_task",
+            lambda task, k: one_concurrent_factories(task),
+        )
+        exit_code = main(
+            [
+                "check", "consensus", "--n", "2", "--k", "2", "--depth",
+                "20", "--por", "--dedup",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert exit_code == 1
+        assert "explored   : 100 nodes in " in out
+        assert "runs       : 6 completed, 0 truncated\n" in out
+        assert (
+            "verdict    : 1 VIOLATION(S); first witness: ['p2', 'p2', "
+            "'p2', 'p1', 'p1', 'p1', 'p1', 'p1', 'p2', 'p2']\n"
+        ) in out
+
     def test_check_command_reports_the_cap(self, capsys):
         code = main(
             [

@@ -5,7 +5,9 @@ import random
 from repro.core.history import (
     ConstantHistory,
     FunctionHistory,
+    QueryLog,
     RecordedHistory,
+    answers_agree,
 )
 from repro.detectors.base import StabilizingHistory, choose_correct
 from repro.core.failures import FailurePattern
@@ -30,6 +32,51 @@ class TestContainers:
         h = RecordedHistory({})
         h.record(1, 3, "late")
         assert h.value(1, 3) == "late"
+
+
+class TestQueryLog:
+    def _logged(self, history, points):
+        log = QueryLog(history)
+        answers = [log.value(q, t) for q, t in points]
+        return answers, log.encode(1 << 10)
+
+    def test_logs_each_query_with_the_repr_of_its_answer(self):
+        history = RecordedHistory({(0, 1): (1, 2)}, default="p1")
+        answers, text = self._logged(history, [(0, 1), (2, 7)])
+        assert answers == [(1, 2), "p1"]
+        assert text == "0 1 (1, 2)\n2 7 'p1'"
+        assert answers_agree(history, text)
+
+    def test_agreement_reads_only_up_to_the_first_difference(self):
+        _, text = self._logged(
+            FunctionHistory(lambda q, t: t), [(0, 1), (1, 2), (2, 3)]
+        )
+        asked = []
+
+        def changed(q, t):
+            asked.append((q, t))
+            return 0 if t == 2 else t
+
+        assert not answers_agree(FunctionHistory(changed), text)
+        assert asked == [(0, 1), (1, 2)]
+        assert answers_agree(FunctionHistory(lambda q, t: t), text)
+
+    def test_an_empty_log_agrees_with_every_history(self):
+        _, text = self._logged(ConstantHistory(1), [])
+        assert text == ""
+        assert answers_agree(ConstantHistory(2), text)
+
+    def test_no_encoding_when_too_long_or_ambiguous(self):
+        assert self._logged(ConstantHistory("x" * 2000), [(0, 0)])[1] is None
+        assert self._logged(ConstantHistory("a\nb"), [(0, 0)])[1] == (
+            "0 0 'a\\nb'"
+        )
+
+        class Multiline:
+            def __repr__(self):
+                return "two\nlines"
+
+        assert self._logged(ConstantHistory(Multiline()), [(0, 0)])[1] is None
 
 
 class TestStabilizingHistory:
